@@ -127,14 +127,13 @@ def cmd_butterfly(args, parser) -> int:
 
 
 def cmd_landau(args, parser) -> int:
-    if args.r == 0:
-        parser.error("r must be nonzero")
-    if args.n_max < 4:
-        parser.error("n_max must be at least 4")
+    try:
+        ops = landau_mod.build_landau(args.r, args.m, args.n_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.n_max < 8:
         print(f"warning: n_max={args.n_max} leaves almost no interior block; "
               f"expect truncation artifacts", file=sys.stderr)
-    ops = landau_mod.build_landau(args.r, args.m, args.n_max)
     brackets = landau_mod.bracket_report(ops)
     motion = landau_mod.lorentz_check(ops)
     n_levels = min(4, ops.n_max // 2)

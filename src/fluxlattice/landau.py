@@ -3,16 +3,23 @@
 Two independent oscillator modes are truncated to n_max states each.  One
 mode carries the momentum pair with [P1, P2] = i*r, the other the velocity
 pair with [Q1, Q2] = -i*r; all P commute with all Q.  The angular momentum
-is assembled as L = (Q1^2 + Q2^2)/(2r) - (P1^2 + P2^2)/(2r) (additive
-constant fixed to zero) and the Hamiltonian as H = (Q1^2 + Q2^2)/(2m),
-whose spectrum is (r/m)(n - 1/2) with the whole retained momentum mode as
-degeneracy space.  Ladder truncation corrupts the top state, so every
-assertion is made on the interior block with both mode indices <= n_max - 2.
+is L = (Q1^2 + Q2^2)/(2r) - (P1^2 + P2^2)/(2r) (additive constant fixed to
+zero) and the Hamiltonian is H = (Q1^2 + Q2^2)/(2m), whose spectrum is
+(r/m)(n - 1/2) with the whole retained momentum mode as degeneracy space.
+Ladder truncation corrupts the top state, so every assertion is made on the
+interior block with both mode indices <= n_max - 2.
+
+Every operator is A⊗I (momentum mode), I⊗B (velocity mode) or a sum of the
+two, so only the n_max x n_max single-mode factors are stored and every
+check runs on them in O(n_max^3).  The n_max^2-dimensional matrices are
+assembled with np.kron only when one is read, and cached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,32 +47,82 @@ def _ladder(n: int) -> np.ndarray:
     return a
 
 
+def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
 @dataclass(eq=False)
 class LandauOperators:
+    """Truncated two-mode operators, stored as single-mode factors.
+
+    With I the n_max x n_max identity, P1 = x⊗I, P2 = y⊗I, Q1 = I⊗x,
+    Q2 = -I⊗y and H = I⊗ham_mode, where y carries the sign of r.  The
+    full-space matrices p1, p2, q1, q2, ham and ang are assembled on first
+    access and cached; the checks in this module never read them.
+    """
+
     r: float
     mass: float
     n_max: int
-    p1: np.ndarray
-    p2: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    ang: np.ndarray
-    ham: np.ndarray
+    x: np.ndarray         # x ⊗ I = P1, I ⊗ x = Q1
+    y: np.ndarray         # y ⊗ I = P2, -I ⊗ y = Q2
     ham_mode: np.ndarray  # Hamiltonian restricted to the velocity mode
     s: float              # scalar in L + (P1^2+P2^2)/2r on the lowest level
+
+    @property
+    def ang_mode(self) -> np.ndarray:
+        """S = (x^2 + y^2)/(2r), so that L = I⊗S - S⊗I."""
+        return (self.x @ self.x + self.y @ self.y) / (2.0 * self.r)
+
+    def _on_momentum(self, a: np.ndarray) -> np.ndarray:
+        return np.kron(a, np.eye(self.n_max))
+
+    def _on_velocity(self, b: np.ndarray) -> np.ndarray:
+        return np.kron(np.eye(self.n_max), b)
+
+    @cached_property
+    def p1(self) -> np.ndarray:
+        return self._on_momentum(self.x)
+
+    @cached_property
+    def p2(self) -> np.ndarray:
+        return self._on_momentum(self.y)
+
+    @cached_property
+    def q1(self) -> np.ndarray:
+        return self._on_velocity(self.x)
+
+    @cached_property
+    def q2(self) -> np.ndarray:
+        return self._on_velocity(-self.y)
+
+    @cached_property
+    def ham(self) -> np.ndarray:
+        return self._on_velocity(self.ham_mode)
+
+    @cached_property
+    def ang(self) -> np.ndarray:
+        s = self.ang_mode
+        return self._on_velocity(s) - self._on_momentum(s)
 
     def interior_mask(self) -> np.ndarray:
         keep = np.arange(self.n_max) <= self.n_max - 2
         return np.kron(keep, keep).astype(bool)
 
 
-def _interior_norm(mat: np.ndarray, mask: np.ndarray) -> float:
-    # Frobenius norm: upper bound on the operator norm, cheap at this size
-    return float(np.linalg.norm(mat[np.ix_(mask, mask)]))
+def _interior_norm(factor: np.ndarray) -> float:
+    """Interior-block Frobenius norm of factor⊗I, equally of I⊗factor.
+
+    The interior block of A⊗I is A_int⊗I_int with I_int of size n_max - 1,
+    so its norm is sqrt(n_max - 1) * ||A_int||.  Frobenius is an upper bound
+    on the operator norm.
+    """
+    keep = factor.shape[0] - 1
+    return math.sqrt(keep) * float(np.linalg.norm(factor[:keep, :keep]))
 
 
 def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
-    """Assemble the truncated operators for field strength r and mass m."""
+    """Build the truncated operators for field strength r and mass m."""
     if r == 0:
         raise ValueError("invalid parameters: r must be nonzero")
     if mass <= 0:
@@ -77,23 +134,10 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
     sgn = 1.0 if r > 0 else -1.0
     scale = np.sqrt(abs(r) / 2.0)
     x = scale * (a + a.conj().T)
-    y = scale * 1j * (a.conj().T - a)
-
-    eye = np.eye(n_max)
-    p1 = np.kron(x, eye)
-    p2 = sgn * np.kron(y, eye)
-    q1 = np.kron(eye, x)
-    q2 = -sgn * np.kron(eye, y)
-
-    q_sq_mode = x @ x + (sgn * y) @ (sgn * y)
-    ham_mode = q_sq_mode / (2.0 * mass)
-    ham = np.kron(eye, ham_mode)
-    ang = (q1 @ q1 + q2 @ q2 - p1 @ p1 - p2 @ p2) / (2.0 * r)
-
-    return LandauOperators(r=r, mass=mass, n_max=n_max,
-                           p1=p1, p2=p2, q1=q1, q2=q2,
-                           ang=ang, ham=ham, ham_mode=ham_mode,
-                           s=sgn * 0.5)
+    y = sgn * scale * 1j * (a.conj().T - a)
+    ham_mode = (x @ x + y @ y) / (2.0 * mass)
+    return LandauOperators(r=r, mass=mass, n_max=n_max, x=x, y=y,
+                           ham_mode=ham_mode, s=sgn * 0.5)
 
 
 def hamiltonian_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
@@ -111,67 +155,76 @@ def hamiltonian_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
 def level_degeneracies(ops: LandauOperators, n_levels: int,
                        tol: float = LORENTZ_TOLERANCE) -> list[int]:
     """Multiplicity of each of the lowest n_levels levels on the full
-    two-mode space; each should equal the retained momentum-mode dimension."""
+    two-mode space; each should equal the retained momentum-mode dimension.
+
+    H = I⊗ham_mode repeats every single-mode eigenvalue n_max times.
+    """
     levels = hamiltonian_spectrum(ops, n_levels)
-    full = np.linalg.eigvalsh(ops.ham)
-    return [int(np.sum(np.abs(full - lv) < tol)) for lv in levels]
+    mode = np.linalg.eigvalsh(ops.ham_mode)
+    return [ops.n_max * int(np.sum(np.abs(mode - lv) < tol)) for lv in levels]
+
+
+def _bracket_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
+    """(name, interior residual, relation) for each defining bracket.
+
+    A bracket between an A⊗I and an I⊗B vanishes identically, and L is
+    assembled from the very expression the identity states, so those
+    residuals are exactly zero, as they are on the assembled matrices.
+    """
+    x, y, s = ops.x, ops.y, ops.ang_mode
+    ir = 1j * ops.r * np.eye(ops.n_max)
+    return [
+        ("bracket_p1_p2", _interior_norm(_comm(x, y) - ir), "[P1,P2] = ir"),
+        ("bracket_q1_q2", _interior_norm(ir - _comm(x, y)), "[Q1,Q2] = -ir"),
+        ("bracket_p1_q1", 0.0, "[P1,Q1] = 0"),
+        ("bracket_p1_q2", 0.0, "[P1,Q2] = 0"),
+        ("bracket_p2_q1", 0.0, "[P2,Q1] = 0"),
+        ("bracket_p2_q2", 0.0, "[P2,Q2] = 0"),
+        # [I⊗S - S⊗I, A⊗I] = -[S,A]⊗I and [I⊗S - S⊗I, I⊗B] = I⊗[S,B]
+        ("bracket_L_p1", _interior_norm(-_comm(s, x) - 1j * y), "[L,P1] = iP2"),
+        ("bracket_L_p2", _interior_norm(-_comm(s, y) + 1j * x), "[L,P2] = -iP1"),
+        ("bracket_L_q1", _interior_norm(_comm(s, x) + 1j * y), "[L,Q1] = iQ2"),
+        ("bracket_L_q2", _interior_norm(-_comm(s, y) + 1j * x), "[L,Q2] = -iQ1"),
+        ("angular_momentum_identity", 0.0, "L = (Q^2 - P^2)/2r with constant 0"),
+    ]
+
+
+def _lorentz_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
+    """(name, interior residual, relation) for each equation of motion.
+
+    H acts on the velocity mode only, so it commutes with P1 and P2
+    identically.
+    """
+    x, y, h = ops.x, ops.y, ops.ham_mode
+    rm = ops.r / ops.mass
+    return [
+        ("lorentz_q1", _interior_norm(1j * _comm(h, x) - rm * y),
+         "dQ1/dt = i[H,Q1] = -(r/m) Q2"),
+        ("lorentz_q2", _interior_norm(-1j * _comm(h, y) - rm * x),
+         "dQ2/dt = i[H,Q2] = (r/m) Q1"),
+        ("conserved_p1", 0.0, "[H,P1] = 0"),
+        ("conserved_p2", 0.0, "[H,P2] = 0"),
+        # [I⊗h, I⊗S - S⊗I] = I⊗[h,S]
+        ("conserved_angular_momentum", _interior_norm(_comm(h, ops.ang_mode)),
+         "[H,L] = 0"),
+    ]
+
+
+def _report(residuals: list[tuple[str, float, str]], tol: float) -> RelationReport:
+    report = RelationReport()
+    for name, residual, detail in residuals:
+        report.add(name, residual < tol, None,
+                   f"{detail}, interior residual {residual:.3e}")
+    return report
 
 
 def bracket_report(ops: LandauOperators, tol: float = BRACKET_TOLERANCE) -> RelationReport:
     """Interior-block residuals of the defining Lie brackets and of the
     angular-momentum identity."""
-    mask = ops.interior_mask()
-    r = ops.r
-    eye = np.eye(ops.n_max**2)
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    report = RelationReport()
-    checks = [
-        ("bracket_p1_p2", comm(ops.p1, ops.p2) - 1j * r * eye, "[P1,P2] = ir"),
-        ("bracket_q1_q2", comm(ops.q1, ops.q2) + 1j * r * eye, "[Q1,Q2] = -ir"),
-        ("bracket_p1_q1", comm(ops.p1, ops.q1), "[P1,Q1] = 0"),
-        ("bracket_p1_q2", comm(ops.p1, ops.q2), "[P1,Q2] = 0"),
-        ("bracket_p2_q1", comm(ops.p2, ops.q1), "[P2,Q1] = 0"),
-        ("bracket_p2_q2", comm(ops.p2, ops.q2), "[P2,Q2] = 0"),
-        ("bracket_L_p1", comm(ops.ang, ops.p1) - 1j * ops.p2, "[L,P1] = iP2"),
-        ("bracket_L_p2", comm(ops.ang, ops.p2) + 1j * ops.p1, "[L,P2] = -iP1"),
-        ("bracket_L_q1", comm(ops.ang, ops.q1) - 1j * ops.q2, "[L,Q1] = iQ2"),
-        ("bracket_L_q2", comm(ops.ang, ops.q2) + 1j * ops.q1, "[L,Q2] = -iQ1"),
-        ("angular_momentum_identity",
-         ops.ang - (ops.q1 @ ops.q1 + ops.q2 @ ops.q2
-                    - ops.p1 @ ops.p1 - ops.p2 @ ops.p2) / (2.0 * r),
-         "L = (Q^2 - P^2)/2r with constant 0"),
-    ]
-    for name, residual_mat, detail in checks:
-        residual = _interior_norm(residual_mat, mask)
-        report.add(name, residual < tol, None,
-                   f"{detail}, interior residual {residual:.3e}")
-    return report
+    return _report(_bracket_residuals(ops), tol)
 
 
 def lorentz_check(ops: LandauOperators, tol: float = LORENTZ_TOLERANCE) -> RelationReport:
     """Heisenberg equations of motion: the velocity pair rotates at rate r/m
     while momenta and angular momentum are conserved."""
-    mask = ops.interior_mask()
-    rm = ops.r / ops.mass
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    report = RelationReport()
-    checks = [
-        ("lorentz_q1", 1j * comm(ops.ham, ops.q1) + rm * ops.q2,
-         "dQ1/dt = i[H,Q1] = -(r/m) Q2"),
-        ("lorentz_q2", 1j * comm(ops.ham, ops.q2) - rm * ops.q1,
-         "dQ2/dt = i[H,Q2] = (r/m) Q1"),
-        ("conserved_p1", comm(ops.ham, ops.p1), "[H,P1] = 0"),
-        ("conserved_p2", comm(ops.ham, ops.p2), "[H,P2] = 0"),
-        ("conserved_angular_momentum", comm(ops.ham, ops.ang), "[H,L] = 0"),
-    ]
-    for name, residual_mat, detail in checks:
-        residual = _interior_norm(residual_mat, mask)
-        report.add(name, residual < tol, None,
-                   f"{detail}, interior residual {residual:.3e}")
-    return report
+    return _report(_lorentz_residuals(ops), tol)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .phases import Flux
+from .phases import TWO_PI, Flux
 
 __all__ = [
     "SpectrumEstimate",
@@ -32,8 +32,6 @@ __all__ = [
     "hausdorff_distance",
     "flux_values",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 def _validate_fraction(num: int, den: int) -> None:

@@ -138,6 +138,22 @@ class TestLandau:
             main(["landau", "--r", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--m", "0"], "mass must be positive"),
+        (["--m=-1"], "mass must be positive"),
+        (["--r", "0"], "r must be nonzero"),
+        (["--n-max", "3"], "n_max must be at least 4"),
+    ])
+    def test_invalid_parameters_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["landau", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(message)
+        assert "Traceback" not in captured.err
+
 
 class TestGaugeCheck:
     def test_zero_units(self, capsys):

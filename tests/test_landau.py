@@ -1,8 +1,11 @@
 """Truncated-oscillator checks of the continuum theory."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fluxlattice import landau
 from fluxlattice.landau import (
     BRACKET_TOLERANCE,
     LORENTZ_TOLERANCE,
@@ -125,3 +128,110 @@ class TestTruncationTrend:
             assert interior_residual(ops, comm_p) < BRACKET_TOLERANCE
             lorentz = 1j * (ops.ham @ ops.q1 - ops.q1 @ ops.ham) + ops.q2
             assert interior_residual(ops, lorentz) < LORENTZ_TOLERANCE
+
+
+def direct_operators(r, m, n_max):
+    """The two-mode operators assembled directly on the n_max^2 space."""
+    a = np.diag(np.sqrt(np.arange(1, n_max)), 1).astype(complex)
+    sgn = 1.0 if r > 0 else -1.0
+    scale = np.sqrt(abs(r) / 2.0)
+    x = scale * (a + a.conj().T)
+    y = scale * 1j * (a.conj().T - a)
+    eye = np.eye(n_max)
+    p1, p2 = np.kron(x, eye), sgn * np.kron(y, eye)
+    q1, q2 = np.kron(eye, x), -sgn * np.kron(eye, y)
+    ham = np.kron(eye, (x @ x + (sgn * y) @ (sgn * y)) / (2.0 * m))
+    ang = (q1 @ q1 + q2 @ q2 - p1 @ p1 - p2 @ p2) / (2.0 * r)
+    return {"p1": p1, "p2": p2, "q1": q1, "q2": q2, "ham": ham, "ang": ang}
+
+
+def full_space_residuals(ops):
+    """Every residual the reports give, from the assembled matrices."""
+    p1, p2, q1, q2, ham, ang = ops.p1, ops.p2, ops.q1, ops.q2, ops.ham, ops.ang
+    eye = np.eye(ops.n_max**2)
+    r, rm = ops.r, ops.r / ops.mass
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    mats = {
+        "bracket_p1_p2": comm(p1, p2) - 1j * r * eye,
+        "bracket_q1_q2": comm(q1, q2) + 1j * r * eye,
+        "bracket_p1_q1": comm(p1, q1),
+        "bracket_p1_q2": comm(p1, q2),
+        "bracket_p2_q1": comm(p2, q1),
+        "bracket_p2_q2": comm(p2, q2),
+        "bracket_L_p1": comm(ang, p1) - 1j * p2,
+        "bracket_L_p2": comm(ang, p2) + 1j * p1,
+        "bracket_L_q1": comm(ang, q1) - 1j * q2,
+        "bracket_L_q2": comm(ang, q2) + 1j * q1,
+        "angular_momentum_identity": ang - (q1 @ q1 + q2 @ q2
+                                            - p1 @ p1 - p2 @ p2) / (2.0 * r),
+        "lorentz_q1": 1j * comm(ham, q1) + rm * q2,
+        "lorentz_q2": 1j * comm(ham, q2) - rm * q1,
+        "conserved_p1": comm(ham, p1),
+        "conserved_p2": comm(ham, p2),
+        "conserved_angular_momentum": comm(ham, ang),
+    }
+    return {name: interior_residual(ops, mat) for name, mat in mats.items()}
+
+
+def factor_residuals(ops):
+    rows = landau._bracket_residuals(ops) + landau._lorentz_residuals(ops)
+    return {name: residual for name, residual, _ in rows}
+
+
+CROSS_CHECK_PARAMS = [(1.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-2.0, 0.5), (1.7, 0.3)]
+
+
+class TestFactorCrossCheck:
+    @pytest.mark.parametrize("n_max", [8, 12])
+    @pytest.mark.parametrize("r,m", CROSS_CHECK_PARAMS)
+    def test_matches_full_space(self, n_max, r, m):
+        ops = build_landau(r, m, n_max)
+        direct = direct_operators(r, m, n_max)
+        for name in ("p1", "p2", "q1", "q2", "ham"):
+            assert np.array_equal(getattr(ops, name), direct[name]), name
+        assert np.max(np.abs(ops.ang - direct["ang"])) < 1e-12
+
+        factor = factor_residuals(ops)
+        full = full_space_residuals(ops)
+        assert factor.keys() == full.keys()
+        for name in full:
+            assert abs(factor[name] - full[name]) < 1e-12, name
+
+        for report in (bracket_report(ops), lorentz_check(ops)):
+            assert report.all_pass, report.to_text()
+            assert all(type(c.holds) is bool for c in report.checks)
+
+        n_levels = n_max // 2
+        levels = hamiltonian_spectrum(ops, n_levels)
+        full_levels = np.linalg.eigvalsh(ops.ham)
+        expected = [int(np.sum(np.abs(full_levels - lv) < LORENTZ_TOLERANCE))
+                    for lv in levels]
+        assert level_degeneracies(ops, n_levels) == expected
+
+
+class TestNegativeControl:
+    @pytest.mark.parametrize("corrupt", [
+        lambda ops: dataclasses.replace(ops, r=-ops.r),
+        lambda ops: dataclasses.replace(ops, y=-ops.y),
+    ], ids=["negated_r", "negated_y"])
+    def test_corrupted_factors_fail(self, corrupt):
+        ops = corrupt(build_landau(1.0, 1.0, 12))
+        assert not bracket_report(ops).all_pass
+        assert not lorentz_check(ops).all_pass
+        # the factor residuals still measure what the assembled space shows
+        factor, full = factor_residuals(ops), full_space_residuals(ops)
+        for name in full:
+            assert factor[name] == pytest.approx(full[name], rel=1e-12, abs=1e-12), name
+
+
+class TestLargeTruncation:
+    def test_checks_never_assemble_the_full_space(self):
+        ops = build_landau(1.0, 1.0, 200)
+        assert bracket_report(ops).all_pass
+        assert lorentz_check(ops).all_pass
+        assert level_degeneracies(ops, 4) == [200] * 4
+        assembled = {"p1", "p2", "q1", "q2", "ham", "ang"} & set(vars(ops))
+        assert not assembled
