@@ -49,6 +49,7 @@ from .operators import (
     commutant_monomial_check,
     commutator,
     gauge_intertwiner,
+    gauge_report,
     truncate,
     verify_relations,
 )

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every command is deterministic for a given argument set and exits 0 iff all
-checks it performs pass; flux parse errors exit 2 via the usual usage path.
+Every command is deterministic for a given argument set and exits 0 when all
+of its checks pass, 1 when a check fails and 2 on invalid input: `main` turns
+any ValueError or OSError into one `fluxlattice: error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from . import landau as landau_mod
 from . import operators as ops_mod
 from . import spectral as spectral_mod
 from .algebra import derive_invariant_basis
-from .phases import Flux, RationalFluxError, classify
-
-
-def _parse_flux(text: str, parser: argparse.ArgumentParser) -> Flux:
-    try:
-        return Flux.parse(text)
-    except ValueError as exc:
-        parser.error(str(exc))
+from .phases import Flux, classify
 
 
 def _emit(payload: dict, text: str, fmt: str, out_path: str | None) -> None:
@@ -34,8 +28,8 @@ def _emit(payload: dict, text: str, fmt: str, out_path: str | None) -> None:
         print(body)
 
 
-def cmd_classify(args, parser) -> int:
-    flux = _parse_flux(args.flux, parser)
+def cmd_classify(args) -> int:
+    flux = Flux.parse(args.flux)
     cls = classify(flux)
     if flux.is_rational:
         phi_text = f"Φ = {flux}"
@@ -49,8 +43,8 @@ def cmd_classify(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    flux = _parse_flux(args.flux, parser)
+def cmd_verify(args) -> int:
+    flux = Flux.parse(args.flux)
     rep = ops_mod.build_wavefunction(flux, args.gauge)
     if args.corrupt:
         # negative control: taint p1 with an extra site-dependent e^{i*th*m2/2}
@@ -66,21 +60,17 @@ def cmd_verify(args, parser) -> int:
     return 0 if report.all_pass else 1
 
 
-def cmd_invariant(args, parser) -> int:
-    flux = _parse_flux(args.flux, parser)
-    try:
-        basis = derive_invariant_basis(args.max_j, flux)
-    except RationalFluxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_invariant(args) -> int:
+    flux = Flux.parse(args.flux)
+    basis = derive_invariant_basis(args.max_j, flux)
     lines = [str(el) for el in basis]
     payload = {"flux": str(flux), "max_j": args.max_j, "basis": lines}
     _emit(payload, "\n".join(lines), args.format, args.out)
     return 0
 
 
-def cmd_spectrum(args, parser) -> int:
-    flux = _parse_flux(args.flux, parser)
+def cmd_spectrum(args) -> int:
+    flux = Flux.parse(args.flux)
     if flux.is_rational:
         est = spectral_mod.spectrum(flux, args.k_grid)
         band_text = "\n".join(f"band [{lo:.9f}, {hi:.9f}]" for lo, hi in est.bands)
@@ -103,8 +93,19 @@ def cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def cmd_butterfly(args, parser) -> int:
+def cmd_butterfly(args) -> int:
     dataset = spectral_mod.butterfly(args.q_max, args.k_grid)
+    # write before printing anything, so an unwritable --out leaves stdout empty
+    if args.out:
+        if args.format == "json":
+            dataset.to_json(args.out)
+        else:
+            dataset.to_csv(args.out)
+        summary = (f"wrote {dataset.n_rows()} rows for {len(dataset.entries)} flux "
+                   f"values to {args.out}")
+    else:
+        summary = (f"{dataset.n_rows()} rows for {len(dataset.entries)} flux values "
+                   f"(q_max={args.q_max}, k_grid={args.k_grid}); use --out to save")
     status = 0
     if args.check:
         report = dataset.symmetry_report()
@@ -113,24 +114,12 @@ def cmd_butterfly(args, parser) -> int:
               f"deviation {report['energy_negation_deviation']:.3e}")
         if not report["symmetric"]:
             status = 1
-    if args.out:
-        if args.format == "json":
-            dataset.to_json(args.out)
-        else:
-            dataset.to_csv(args.out)
-        print(f"wrote {dataset.n_rows()} rows for {len(dataset.entries)} flux "
-              f"values to {args.out}")
-    else:
-        print(f"{dataset.n_rows()} rows for {len(dataset.entries)} flux values "
-              f"(q_max={args.q_max}, k_grid={args.k_grid}); use --out to save")
+    print(summary)
     return status
 
 
-def cmd_landau(args, parser) -> int:
-    try:
-        ops = landau_mod.build_landau(args.r, args.m, args.n_max)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_landau(args) -> int:
+    ops = landau_mod.build_landau(args.r, args.m, args.n_max)
     if args.n_max < 8:
         print(f"warning: n_max={args.n_max} leaves almost no interior block; "
               f"expect truncation artifacts", file=sys.stderr)
@@ -139,34 +128,25 @@ def cmd_landau(args, parser) -> int:
     n_levels = min(4, ops.n_max // 2)
     levels = landau_mod.hamiltonian_spectrum(ops, n_levels)
     ok = brackets.all_pass and motion.all_pass
-    if args.format == "json":
-        payload = {
-            "r": args.r, "m": args.m, "n_max": args.n_max,
-            "all_pass": ok,
-            "relations": brackets.to_json_dict() + motion.to_json_dict(),
-            "lowest_levels": [float(v) for v in levels],
-        }
-        _emit(payload, "", "json", args.out)
-    else:
-        text = (brackets.to_text() + "\n" + motion.to_text() + "\n"
-                + "lowest levels: " + ", ".join(f"{v:.8f}" for v in levels))
-        _emit({}, text, "text", args.out)
+    payload = {
+        "r": args.r, "m": args.m, "n_max": args.n_max,
+        "all_pass": ok,
+        "relations": brackets.to_json_dict() + motion.to_json_dict(),
+        "lowest_levels": [float(v) for v in levels],
+    }
+    text = (brackets.to_text() + "\n" + motion.to_text() + "\n"
+            + "lowest levels: " + ", ".join(f"{v:.8f}" for v in levels))
+    _emit(payload, text, args.format, args.out)
     return 0 if ok else 1
 
 
-def cmd_gauge_check(args, parser) -> int:
-    flux = _parse_flux(args.flux, parser)
+def cmd_gauge_check(args) -> int:
+    flux = Flux.parse(args.flux)
     u = args.phi_units
+    report = ops_mod.gauge_report(flux, u)
     s = ops_mod.gauge_intertwiner(u)
-    base = ops_mod.build_wavefunction(flux, 0)
-    gauged = ops_mod.build_wavefunction(flux, u)
-    report = ops_mod.RelationReport()
-    for name in ("p1", "p2", "q1", "q2"):
-        lhs = s @ getattr(gauged, name)
-        rhs = getattr(base, name) @ s
-        report.add(f"gauge_conj_{name}", lhs.equals(rhs, flux), None,
-                   f"S W'({name}) = W({name}) S")
-    rotation_commutes = (s @ base.zeta).equals(base.zeta @ s, flux)
+    zeta = ops_mod.build_wavefunction(flux).zeta
+    rotation_commutes = (s @ zeta).equals(zeta @ s, flux)
     header = (f"intertwiner S = diag(e^{{-i·{u}·φ·m1·m2}}), "
               f"gauge units {u}")
     note = (f"S commutes with the rotation: {rotation_commutes} "
@@ -248,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

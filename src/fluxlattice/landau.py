@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .reporting import RelationReport
+from .spectral import require_allocation
 
 __all__ = [
     "LandauOperators",
@@ -129,6 +130,7 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
         raise ValueError("invalid parameters: mass must be positive")
     if n_max < 4:
         raise ValueError("invalid parameters: n_max must be at least 4")
+    require_allocation(3 * n_max * n_max * 16, f"the Landau factors at n_max={n_max}")
 
     a = _ladder(n_max)
     sgn = 1.0 if r > 0 else -1.0

@@ -35,6 +35,7 @@ __all__ = [
     "build_wavefunction",
     "verify_relations",
     "gauge_intertwiner",
+    "gauge_report",
     "commutant_monomial_check",
     "truncate",
 ]
@@ -381,6 +382,19 @@ def verify_relations(rep: DistinguishedRep | WavefunctionRep) -> RelationReport:
         _check(report, name, zeta @ gen @ zeta_inv, image, flux, detail)
     _check(report, "rotation_order_4", zeta**4, BasisMapOperator.identity(2),
            flux, "zeta^4 = 1")
+    return report
+
+
+def gauge_report(flux: Flux, phi_units: int) -> RelationReport:
+    """Check S W'(g) = W(g) S for the gauge intertwiner S and each translation
+    g at gauge phi_units (W') and gauge zero (W); failures carry a witness."""
+    s = gauge_intertwiner(phi_units)
+    base = build_wavefunction(flux, 0)
+    gauged = build_wavefunction(flux, phi_units)
+    report = RelationReport()
+    for name in ("p1", "p2", "q1", "q2"):
+        _check(report, f"gauge_conj_{name}", s @ getattr(gauged, name),
+               getattr(base, name) @ s, flux, f"S W'({name}) = W({name}) S")
     return report
 
 

@@ -36,7 +36,6 @@ TWO_PI = 2.0 * math.pi
 # Continued-fraction terms read off a float stop being trustworthy once the
 # convergent denominator approaches 1/sqrt(machine eps).
 _CF_DENOMINATOR_CAP = 10**7
-_CF_MAX_TERMS = 64
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
@@ -141,17 +140,16 @@ def wedge(m: tuple[int, int], n: tuple[int, int]) -> int:
     return m[0] * n[1] - m[1] * n[0]
 
 
-def _cf_terms_of_fraction(fr: Fraction, max_terms: int = _CF_MAX_TERMS,
-                          max_denominator: int = _CF_DENOMINATOR_CAP) -> tuple[int, ...]:
+def _cf_terms_of_fraction(fr: Fraction) -> tuple[int, ...]:
     """Partial quotients of fr in (0, 1), truncated before the convergent
     denominators overflow the reliability cap."""
     num, den = fr.numerator, fr.denominator
     terms: list[int] = []
     q_prev, q_cur = 0, 1
-    while num and len(terms) < max_terms:
+    while num:
         a, rem = divmod(den, num)
         q_next = a * q_cur + q_prev
-        if q_next > max_denominator:
+        if q_next > _CF_DENOMINATOR_CAP:
             break
         terms.append(a)
         q_prev, q_cur = q_cur, q_next
@@ -180,21 +178,19 @@ class Flux:
         return cls(fraction=fr, value=float(fr), cf_terms=_cf_terms_of_fraction(fr))
 
     @classmethod
-    def irrational(cls, value: float, cf_terms: tuple[int, ...] | None = None) -> "Flux":
+    def irrational(cls, value: float) -> "Flux":
         v = float(value) % 1.0
-        if cf_terms is None:
-            cf_terms = _cf_terms_of_fraction(Fraction(v)) if v else ()
-        return cls(fraction=None, value=v, cf_terms=tuple(cf_terms))
+        return cls(fraction=None, value=v, cf_terms=_cf_terms_of_fraction(Fraction(v)))
 
     @classmethod
     def golden(cls) -> "Flux":
         """(sqrt(5) - 1)/2, the usual worst-approximable test flux."""
-        return cls.irrational((math.sqrt(5.0) - 1.0) / 2.0, (1,) * _CF_MAX_TERMS)
+        return cls.irrational((math.sqrt(5.0) - 1.0) / 2.0)
 
     @classmethod
     def sqrt2(cls) -> "Flux":
         """sqrt(2) - 1, continued fraction [0; 2, 2, 2, ...]."""
-        return cls.irrational(math.sqrt(2.0) - 1.0, (2,) * _CF_MAX_TERMS)
+        return cls.irrational(math.sqrt(2.0) - 1.0)
 
     @classmethod
     def pi_fractional(cls) -> "Flux":
@@ -205,7 +201,8 @@ class Flux:
     def parse(cls, text: str) -> "Flux":
         """Parse a flux spec: 'p/q' is rational; 'golden', 'sqrt2', 'pi' or a
         decimal literal give an irrational flux.  Decimals are treated as
-        samples of an irrational value; use p/q for exact rational flux.
+        samples of an irrational value; use p/q for exact rational flux.  A
+        decimal that is 0 mod 1 (0.0, 1, 3.0) is rejected: write 0/1.
         Unknown names are errors, never read as numbers."""
         text = text.strip()
         m = _RATIONAL_RE.match(text)
@@ -215,6 +212,9 @@ class Flux:
         if text in named:
             return named[text]()
         if _DECIMAL_RE.match(text):
+            if float(text) % 1.0 == 0.0:
+                raise ValueError(f"flux spec {text!r} is 0 mod 1, which is rational; "
+                                 f"write 0/1 for zero flux")
             return cls.irrational(float(text))
         raise ValueError(f"cannot parse flux spec {text!r}: expected p/q, "
                          f"golden, sqrt2, pi, or a decimal literal")

@@ -34,6 +34,22 @@ __all__ = [
 ]
 
 
+# Largest array one request may allocate; requests are sized before building.
+ALLOCATION_BUDGET_BYTES = 1 << 30
+
+
+def require_allocation(nbytes: int, what: str) -> None:
+    """Refuse a request whose largest array would exceed the budget."""
+    if nbytes > ALLOCATION_BUDGET_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the "
+                         f"{ALLOCATION_BUDGET_BYTES} byte allocation budget")
+
+
+def _require_bloch_stack(den: int, k_grid: int) -> None:
+    nbytes = (k_grid // math.gcd(den, k_grid)) * k_grid * den * den * 16
+    require_allocation(nbytes, f"the Bloch stack at q={den}, k_grid={k_grid}")
+
+
 def _validate_fraction(num: int, den: int) -> None:
     if den < 1:
         raise ValueError(f"denominator must be positive, got {den}")
@@ -123,6 +139,7 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     num, den = flux.numerator, flux.denominator
+    _require_bloch_stack(den, k_grid)
     eigs, g = _solve_reduced(num, den, k_grid)
     bands = _merge_bands([(float(eigs[:, m].min()), float(eigs[:, m].max()))
                           for m in range(den)])
@@ -142,6 +159,15 @@ def flux_values(q_max: int) -> list[Fraction]:
     return sorted(out)
 
 
+def _group_by_flux(rows) -> list[tuple[int, int, np.ndarray]]:
+    """Per-flux sample arrays from (nu, q, energy) rows, in ascending Phi."""
+    by_flux: dict[tuple[int, int], list[float]] = {}
+    for n, d, e in rows:
+        by_flux.setdefault((int(n), int(d)), []).append(float(e))
+    return [(n, d, np.array(es)) for (n, d), es in sorted(
+        by_flux.items(), key=lambda item: Fraction(*item[0]))]
+
+
 @dataclass
 class ButterflyDataset:
     """Rows (Phi = nu/q, eigenvalue sample) for every reduced flux with
@@ -150,11 +176,6 @@ class ButterflyDataset:
     q_max: int
     k_grid: int
     entries: list[tuple[int, int, np.ndarray]]
-
-    def rows(self):
-        for num, den, samples in self.entries:
-            for energy in samples:
-                yield num, den, float(energy)
 
     def n_rows(self) -> int:
         return sum(samples.size for _n, _d, samples in self.entries)
@@ -176,23 +197,19 @@ class ButterflyDataset:
 
     @classmethod
     def from_csv(cls, path: str | Path, q_max: int = 0, k_grid: int = 0) -> "ButterflyDataset":
-        by_flux: dict[tuple[int, int], list[float]] = {}
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "phi_num,phi_den,energy":
                 raise ValueError(f"unexpected CSV header {header!r}")
-            for line in fh:
-                n, d, e = line.rstrip("\n").split(",")
-                by_flux.setdefault((int(n), int(d)), []).append(float(e))
-        entries = [(n, d, np.array(es)) for (n, d), es in sorted(
-            by_flux.items(), key=lambda item: Fraction(*item[0]))]
+            entries = _group_by_flux(line.rstrip("\n").split(",") for line in fh)
         return cls(q_max, k_grid, entries)
 
     def to_json(self, path: str | Path) -> None:
         doc = {
             "q_max": self.q_max,
             "k_grid": self.k_grid,
-            "points": [{"phi": [n, d], "E": float(e)} for n, d, e in self.rows()],
+            "points": [{"phi": [n, d], "E": e}
+                       for n, d, samples in self.entries for e in samples.tolist()],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -201,12 +218,7 @@ class ButterflyDataset:
     def from_json(cls, path: str | Path) -> "ButterflyDataset":
         with open(path) as fh:
             doc = json.load(fh)
-        by_flux: dict[tuple[int, int], list[float]] = {}
-        for point in doc["points"]:
-            n, d = point["phi"]
-            by_flux.setdefault((n, d), []).append(point["E"])
-        entries = [(n, d, np.array(es)) for (n, d), es in sorted(
-            by_flux.items(), key=lambda item: Fraction(*item[0]))]
+        entries = _group_by_flux((*point["phi"], point["E"]) for point in doc["points"])
         return cls(doc["q_max"], doc["k_grid"], entries)
 
     def symmetry_report(self, tol: float = 1e-9) -> dict:
@@ -258,6 +270,9 @@ class ApproximantSequence:
 
 def approximant_spectra(flux: Flux, depth: int, k_grid: int) -> ApproximantSequence:
     convergents = flux.convergents(depth)
+    # size every stack before solving any: gcd(q, k_grid) makes it non-monotone in q
+    for c in convergents:
+        _require_bloch_stack(c.denominator, k_grid)
     spectra = [spectrum(Flux.rational(c.numerator, c.denominator), k_grid)
                for c in convergents]
     distances = [hausdorff_distance(s0.samples, s1.samples)

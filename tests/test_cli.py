@@ -1,9 +1,15 @@
 """End-to-end command-line behaviour: output, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fluxlattice
+from fluxlattice import spectral
 from fluxlattice.cli import main
 
 
@@ -78,7 +84,9 @@ class TestInvariant:
         assert out.strip() == "(1+0i)·p1^0 p2^0 q1^0 q2^0"
 
     def test_rational_rejected(self, capsys):
-        code, out, err = run(capsys, "invariant", "--flux", "1/3", "--max-j", "1")
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", "--flux", "1/3", "--max-j", "1"])
+        code, err = exc.value.code, capsys.readouterr().err
         assert code == 2
         assert "irrational" in err
 
@@ -175,3 +183,63 @@ class TestGaugeCheck:
         doc = json.loads(out)
         assert doc["intertwiner_phase"] == "-2*phi*m1*m2"
         assert doc["all_pass"] is True
+
+
+# Passing variants of every command; each gets an unwritable --out below.
+_EVERY_COMMAND = [
+    ["classify", "--flux", "golden"],
+    ["verify", "--flux", "golden"],
+    ["invariant", "--flux", "golden"],
+    ["spectrum", "--flux", "1/3", "--k-grid", "4"],
+    ["butterfly", "--q-max", "2", "--k-grid", "4", "--check"],
+    ["landau", "--n-max", "8"],
+    ["gauge-check", "--flux", "golden"],
+]
+_MISSING = "{missing}"
+
+# (argv, allocation budget in bytes or None for the default)
+INVALID_INPUTS = [
+    (["butterfly", "--k-grid", "2"], None),
+    (["butterfly", "--q-max", "0"], None),
+    (["invariant", "--flux", "golden", "--max-j", "-1"], None),
+    (["spectrum", "--flux", "0.5", "--depth", "5"], None),
+    (["spectrum", "--flux", "golden", "--depth", "0"], None),
+    (["spectrum", "--flux", "golden", "--depth", "40"], None),
+    (["classify", "--flux", "0.0"], None),
+    (["classify", "--flux", "1"], None),
+    (["classify", "--flux", "3.0"], None),
+    (["spectrum", "--flux", "1/3", "--k-grid", "8"], 1024),
+    (["spectrum", "--flux", "golden", "--depth", "4", "--k-grid", "8"], 1024),
+    (["landau", "--n-max", "8"], 1024),
+] + [(argv + ["--out", _MISSING], None) for argv in _EVERY_COMMAND]
+
+
+@pytest.mark.parametrize("argv,budget", INVALID_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in INVALID_INPUTS])
+def test_invalid_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
+                                                    argv, budget):
+    if budget is not None:
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", budget)
+    missing = str(tmp_path / "no-such-dir" / "x")
+    with pytest.raises(SystemExit) as err:
+        main([missing if a == _MISSING else a for a in argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "--flux", "golden"], 0),
+    (["verify", "--flux", "golden", "--corrupt"], 1),
+    (["butterfly", "--k-grid", "2"], 2),
+])
+def test_process_exit_codes(argv, code):
+    src = str(Path(fluxlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fluxlattice.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fluxlattice import landau
+from fluxlattice import landau, spectral
 from fluxlattice.landau import (
     BRACKET_TOLERANCE,
     LORENTZ_TOLERANCE,
@@ -30,6 +30,12 @@ class TestBuild:
             build_landau(1.0, -1.0, 10)
         with pytest.raises(ValueError, match="n_max"):
             build_landau(1.0, 1.0, 3)
+
+    def test_allocation_budget_covers_the_three_factors(self, monkeypatch):
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 3 * 10 * 10 * 16)
+        assert build_landau(1.0, 1.0, 10).x.shape == (10, 10)
+        with pytest.raises(ValueError, match="allocation budget"):
+            build_landau(1.0, 1.0, 11)
 
     def test_hermitian_generators(self):
         ops = build_landau(1.5, 2.0, 12)

@@ -16,9 +16,11 @@ from fluxlattice.operators import (
     commutant_monomial_check,
     commutator,
     gauge_intertwiner,
+    gauge_report,
     truncate,
     verify_relations,
 )
+from fluxlattice import operators
 from fluxlattice.phases import ExactPhase, Flux, RationalFluxError
 
 GOLDEN = Flux.golden()
@@ -184,6 +186,42 @@ class TestGauge:
         ph_l, _ = (s @ zeta).apply((1, 1))
         ph_r, _ = (zeta @ s).apply((1, 1))
         assert ph_l != ph_r
+
+
+GENERATORS = ("p1", "p2", "q1", "q2")
+
+
+class TestGaugeReport:
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
+    def test_matches_direct_loop(self, flux):
+        base = build_wavefunction(flux, 0)
+        for units in range(-3, 4):
+            s = gauge_intertwiner(units)
+            gauged = build_wavefunction(flux, units)
+            expected = [(s @ getattr(gauged, name)).equals(getattr(base, name) @ s, flux)
+                        for name in GENERATORS]
+            report = gauge_report(flux, units)
+            assert [c.name for c in report.checks] == [f"gauge_conj_{n}" for n in GENERATORS]
+            assert [c.holds for c in report.checks] == expected == [True] * 4
+            assert all(c.witness_site is None for c in report.checks)
+
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
+    def test_wrong_intertwiner_fails_with_witnesses(self, flux, monkeypatch):
+        # negative control: conjugate with the intertwiner of the next gauge
+        def wrong(units, right=gauge_intertwiner):
+            return right(units + 1)
+        monkeypatch.setattr(operators, "gauge_intertwiner", wrong)
+        base = build_wavefunction(flux, 0)
+        for units in range(-3, 4):
+            report = gauge_report(flux, units)
+            assert not report.all_pass and "FAIL" in report.to_text()
+            s = wrong(units)
+            gauged = build_wavefunction(flux, units)
+            for name, check in zip(GENERATORS, report.checks):
+                assert not check.holds and check.witness_site is not None
+                ph_l, t_l = (s @ getattr(gauged, name)).apply(check.witness_site)
+                ph_r, t_r = (getattr(base, name) @ s).apply(check.witness_site)
+                assert t_l != t_r or not ph_l.equals(ph_r, flux)
 
 
 class TestCommutant:

@@ -239,6 +239,18 @@ class TestFlux:
         with pytest.raises(ValueError):
             Flux.parse("")
 
+    @pytest.mark.parametrize("text", ["0.0", "1", "3.0", "-0.0", "2.", "0.99999999999999999"])
+    def test_parse_rejects_decimals_zero_mod_one(self, text):
+        with pytest.raises(ValueError, match="0/1"):
+            Flux.parse(text)
+
+    @pytest.mark.parametrize("flux,terms,term", [(GOLDEN, 34, 1), (Flux.sqrt2(), 18, 2)])
+    def test_named_fluxes_obey_denominator_cap(self, flux, terms, term):
+        assert flux.cf_terms == (term,) * terms
+        assert flux.convergents(terms)[-1].denominator <= 10**7
+        with pytest.raises(ValueError, match=f"{terms} reliable terms"):
+            flux.convergents(terms + 1)
+
     def test_theta(self):
         assert Flux.rational(1, 2).theta == pytest.approx(math.pi)
         assert GOLDEN.theta == pytest.approx(2 * math.pi * GOLDEN.value)

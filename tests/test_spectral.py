@@ -3,10 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fluxlattice import spectral
 from fluxlattice.phases import Flux, RationalFluxError
 from fluxlattice.spectral import (
     ButterflyDataset,
@@ -19,6 +21,8 @@ from fluxlattice.spectral import (
 )
 
 rng = random.Random(0)
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_reduced_fraction(q_max=12):
@@ -150,7 +154,7 @@ class TestButterfly:
 
     def test_rows_sorted(self):
         ds = butterfly(4, 6)
-        rows = list(ds.rows())
+        rows = [(n, d, e) for n, d, samples in ds.entries for e in samples]
         keys = [(Fraction(n, d), e) for n, d, e in rows]
         assert keys == sorted(keys)
 
@@ -178,6 +182,62 @@ class TestSerialization:
         butterfly(5, 6).to_csv(p1)
         butterfly(5, 6).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestGoldenFiles:
+    """butterfly(3, 4) as the serializers wrote it before the readers were
+    merged; every writer and reader must reproduce it byte for byte."""
+
+    CSV = DATA / "butterfly_3_4.csv"
+    JSON = DATA / "butterfly_3_4.json"
+
+    def test_readers_agree(self):
+        from_csv = ButterflyDataset.from_csv(self.CSV, q_max=3, k_grid=4)
+        assert from_csv == ButterflyDataset.from_json(self.JSON)
+        assert [(n, d) for n, d, _ in from_csv.entries] == [(0, 1), (1, 3), (1, 2), (2, 3)]
+        assert from_csv.n_rows() == 144
+
+    @pytest.mark.parametrize("reader", ["csv", "json"])
+    def test_writers_reproduce_bytes(self, tmp_path, reader):
+        if reader == "csv":
+            ds = ButterflyDataset.from_csv(self.CSV, q_max=3, k_grid=4)
+        else:
+            ds = ButterflyDataset.from_json(self.JSON)
+        ds.to_csv(tmp_path / "b.csv")
+        ds.to_json(tmp_path / "b.json")
+        assert (tmp_path / "b.csv").read_bytes() == self.CSV.read_bytes()
+        assert (tmp_path / "b.json").read_bytes() == self.JSON.read_bytes()
+
+    def test_solver_matches_golden(self):
+        golden = ButterflyDataset.from_csv(self.CSV, q_max=3, k_grid=4)
+        fresh = butterfly(3, 4)
+        assert [(n, d) for n, d, _ in fresh.entries] == [(n, d) for n, d, _ in golden.entries]
+        for (_, _, a), (_, _, b) in zip(fresh.entries, golden.entries):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
+class TestAllocationBudget:
+    def test_spectrum_budget_is_the_bloch_stack(self, monkeypatch):
+        # q = 4, k_grid = 8: gcd 4, so 2 * 8 complex 4 x 4 matrices = 4096 bytes
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 4096)
+        assert spectrum(Flux.rational(1, 4), 8).samples.size == 4 * 8 * 8
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 4095)
+        with pytest.raises(ValueError, match="allocation budget"):
+            spectrum(Flux.rational(1, 4), 8)
+
+    @pytest.mark.parametrize("k_grid,largest", [(7, 8), (8, 5)])
+    def test_approximants_refused_before_any_solve(self, monkeypatch, k_grid, largest):
+        # golden at depth 5 has q = 1, 2, 3, 5, 8; at k_grid 8 the q = 8 stack
+        # shrinks by gcd 8, so the q = 5 stack is the largest
+        nbytes = max((k_grid // math.gcd(q, k_grid)) * k_grid * q * q * 16
+                     for q in (1, 2, 3, 5, 8))
+        assert nbytes == k_grid * k_grid * largest * largest * 16
+        solved = []
+        monkeypatch.setattr(spectral, "spectrum", lambda *args: solved.append(args))
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
+        with pytest.raises(ValueError, match=f"q={largest},"):
+            approximant_spectra(Flux.golden(), 5, k_grid)
+        assert solved == []
 
 
 class TestHausdorff:
