@@ -12,9 +12,12 @@ are decided with integer arithmetic, never floating tolerances.  The
 quarter-turn rotation acts by conjugation as p1 -> p2 -> p1^-1 and
 q1 -> q2 -> q1^-1.
 
-Coefficients are complex floats; phases stay exact.  Structural equality
-compares (exponents, phase) term keys exactly, while numeric equality
-evaluates phases at a concrete flux and merges like exponents.
+The algebra serves irrational flux only, where the commutator map is
+injective and an exact phase triple is already canonical; the invariance
+analysis refuses rational flux.  Coefficients are complex floats; phases
+stay exact.  Structural equality compares (exponents, phase) term keys
+exactly, while numeric equality evaluates phases at a concrete flux and
+merges like exponents.
 """
 
 from __future__ import annotations
@@ -99,12 +102,10 @@ class AlgebraElement:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[complex, Monomial]] = (),
-                 flux: Flux | None = None):
+    def __init__(self, terms: Iterable[tuple[complex, Monomial]] = ()):
         acc: dict[Monomial, complex] = {}
         for coeff, mono in terms:
-            key = Monomial(mono.exponents, mono.phase.reduce(flux))
-            acc[key] = acc.get(key, 0.0) + complex(coeff)
+            acc[mono] = acc.get(mono, 0.0) + complex(coeff)
         self._terms = {m: c for m, c in acc.items() if c != 0}
 
     def terms(self) -> list[tuple[complex, Monomial]]:
@@ -137,7 +138,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            return multiply(self, other, None)
+            return multiply(self, other)
         if isinstance(other, (int, float, complex)):
             return self.__rmul__(other)
         return NotImplemented
@@ -148,21 +149,17 @@ class AlgebraElement:
         out = one()
         base = self if n >= 0 else _monomial_inverse(self)
         for _ in range(abs(n)):
-            out = multiply(out, base, None)
+            out = multiply(out, base)
         return out
-
-    def canonical(self, flux: Flux | None) -> "AlgebraElement":
-        """Re-canonicalize with phases reduced at the given flux."""
-        return AlgebraElement(self.terms(), flux)
 
     def phase_twisted(self, phase: ExactPhase) -> "AlgebraElement":
         """Multiply every term by a constant exact phase."""
         return AlgebraElement(
             [(c, Monomial(m.exponents, phase * m.phase)) for c, m in self.terms()])
 
-    def equals(self, other: "AlgebraElement", flux: Flux | None = None) -> bool:
-        """Structural equality, phase-aware, after canonicalization at flux."""
-        return self.canonical(flux)._terms == other.canonical(flux)._terms
+    def equals(self, other: "AlgebraElement") -> bool:
+        """Structural equality, phase-aware: the same exact term keys."""
+        return self == other
 
     def numeric_equals(self, other: "AlgebraElement", flux: Flux,
                        phi: float = 0.0, tol: float = NUMERIC_TOLERANCE) -> bool:
@@ -171,7 +168,8 @@ class AlgebraElement:
         def collapse(el: AlgebraElement) -> dict[tuple[int, int, int, int], complex]:
             out: dict[tuple[int, int, int, int], complex] = {}
             for c, m in el.terms():
-                out[m.exponents] = out.get(m.exponents, 0.0) + c * m.phase.evaluate_at(flux, phi)
+                value = c * m.phase.evaluate(flux.theta, phi)
+                out[m.exponents] = out.get(m.exponents, 0.0) + value
             return out
         lhs, rhs = collapse(self), collapse(other)
         for key in lhs.keys() | rhs.keys():
@@ -227,25 +225,24 @@ def scalar(coeff: complex) -> AlgebraElement:
     return AlgebraElement([(coeff, Monomial((0, 0, 0, 0), ExactPhase.identity()))])
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement, flux: Flux | None = None) -> AlgebraElement:
+def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the group algebra, distributed over terms and re-normal-
-    ordered with exact phases; canonicalized at `flux` when given."""
+    ordered with exact phases."""
     out = []
     for cx, mx in x.terms():
         for cy, my in y.terms():
             out.append((cx * cy, _mono_product(mx, my)))
-    return AlgebraElement(out, flux)
+    return AlgebraElement(out)
 
 
-def adjoint(x: AlgebraElement, flux: Flux | None = None) -> AlgebraElement:
+def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Conjugate coefficients, invert phases, invert and reorder the words.
     An involution: adjoint(adjoint(x)) == x exactly."""
     return AlgebraElement(
-        [(c.conjugate(), _mono_adjoint(m)) for c, m in x.terms()], flux)
+        [(c.conjugate(), _mono_adjoint(m)) for c, m in x.terms()])
 
 
-def conjugate_by_translation(x: AlgebraElement, gen: str, flux: Flux | None = None,
-                             power: int = 1) -> AlgebraElement:
+def conjugate_by_translation(x: AlgebraElement, gen: str, power: int = 1) -> AlgebraElement:
     """g^power * x * g^-power for a translation generator g.
 
     Exponents are unchanged; each monomial picks up the exact theta phase
@@ -253,12 +250,12 @@ def conjugate_by_translation(x: AlgebraElement, gen: str, flux: Flux | None = No
     """
     g = generator(gen, power)
     g_inv = generator(gen, -power)
-    return multiply(multiply(g, x, flux), g_inv, flux)
+    return multiply(multiply(g, x), g_inv)
 
 
-def conjugate_by_zeta(x: AlgebraElement, flux: Flux | None = None) -> AlgebraElement:
+def conjugate_by_zeta(x: AlgebraElement) -> AlgebraElement:
     """Quarter-turn rotation conjugate; an algebra automorphism of order 4."""
-    return AlgebraElement([(c, _mono_zeta(m)) for c, m in x.terms()], flux)
+    return AlgebraElement([(c, _mono_zeta(m)) for c, m in x.terms()])
 
 
 def is_invariant(x: AlgebraElement, flux: Flux) -> bool:
@@ -266,10 +263,9 @@ def is_invariant(x: AlgebraElement, flux: Flux) -> bool:
     quarter turn.  Requires irrational flux, where fixedness of a monomial
     under both translations forces its p exponents to vanish."""
     flux.require_irrational("the invariance analysis")
-    xc = x.canonical(flux)
-    return (conjugate_by_translation(x, "p1", flux).equals(xc, flux)
-            and conjugate_by_translation(x, "p2", flux).equals(xc, flux)
-            and conjugate_by_zeta(x, flux).equals(xc, flux))
+    return (conjugate_by_translation(x, "p1") == x
+            and conjugate_by_translation(x, "p2") == x
+            and conjugate_by_zeta(x) == x)
 
 
 def harper_element() -> AlgebraElement:
@@ -349,11 +345,11 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
             seen.add(orbit)
             mono = AlgebraElement(
                 [(1.0, Monomial((0, 0, k1, k2), ExactPhase.identity()))])
-            s = AlgebraElement([], flux)
+            s = AlgebraElement()
             img = mono
             for _ in range(len(orbit)):
                 s = s + img
-                img = conjugate_by_zeta(img, flux)
+                img = conjugate_by_zeta(img)
             candidate = _selfadjoint_ray(s)
             if candidate is None or not is_invariant(candidate, flux):
                 continue

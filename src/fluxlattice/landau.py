@@ -75,11 +75,16 @@ class LandauOperators:
         """S = (x^2 + y^2)/(2r), so that L = I⊗S - S⊗I."""
         return (self.x @ self.x + self.y @ self.y) / (2.0 * self.r)
 
+    def _kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        n = self.n_max
+        require_allocation(n**4 * 16, f"a full-space Landau matrix at n_max={n}")
+        return np.kron(a, b)
+
     def _on_momentum(self, a: np.ndarray) -> np.ndarray:
-        return np.kron(a, np.eye(self.n_max))
+        return self._kron(a, np.eye(self.n_max))
 
     def _on_velocity(self, b: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(self.n_max), b)
+        return self._kron(np.eye(self.n_max), b)
 
     @cached_property
     def p1(self) -> np.ndarray:
@@ -124,6 +129,9 @@ def _interior_norm(factor: np.ndarray) -> float:
 
 def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
     """Build the truncated operators for field strength r and mass m."""
+    for name, value in (("r", r), ("mass", mass)):
+        if not math.isfinite(value):
+            raise ValueError(f"invalid parameters: {name} must be finite, got {value}")
     if r == 0:
         raise ValueError("invalid parameters: r must be nonzero")
     if mass <= 0:
@@ -142,28 +150,30 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
                            ham_mode=ham_mode, s=sgn * 0.5)
 
 
-def hamiltonian_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
-    """Lowest n_levels eigenvalues of the Hamiltonian on the velocity mode.
-
-    They match (|r|/m)(n - 1/2) for n = 1..n_levels; beyond n_max/2 the
-    truncated top state pollutes the ladder, hence the precondition.
-    """
+def _mode_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
+    """Every eigenvalue of ham_mode, once n_levels fits the truncation:
+    beyond n_max/2 the truncated top state pollutes the ladder."""
     if n_levels > ops.n_max // 2:
         raise ValueError(f"truncation too small: n_levels={n_levels} needs "
                          f"n_max >= {2 * n_levels}")
-    return np.linalg.eigvalsh(ops.ham_mode)[:n_levels]
+    return np.linalg.eigvalsh(ops.ham_mode)
 
 
-def level_degeneracies(ops: LandauOperators, n_levels: int,
-                       tol: float = LORENTZ_TOLERANCE) -> list[int]:
+def hamiltonian_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
+    """Lowest n_levels eigenvalues of the Hamiltonian on the velocity mode;
+    they match (|r|/m)(n - 1/2) for n = 1..n_levels."""
+    return _mode_spectrum(ops, n_levels)[:n_levels]
+
+
+def level_degeneracies(ops: LandauOperators, n_levels: int) -> list[int]:
     """Multiplicity of each of the lowest n_levels levels on the full
     two-mode space; each should equal the retained momentum-mode dimension.
 
     H = I⊗ham_mode repeats every single-mode eigenvalue n_max times.
     """
-    levels = hamiltonian_spectrum(ops, n_levels)
-    mode = np.linalg.eigvalsh(ops.ham_mode)
-    return [ops.n_max * int(np.sum(np.abs(mode - lv) < tol)) for lv in levels]
+    mode = _mode_spectrum(ops, n_levels)
+    return [ops.n_max * int(np.sum(np.abs(mode - lv) < LORENTZ_TOLERANCE))
+            for lv in mode[:n_levels]]
 
 
 def _bracket_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
@@ -220,13 +230,13 @@ def _report(residuals: list[tuple[str, float, str]], tol: float) -> RelationRepo
     return report
 
 
-def bracket_report(ops: LandauOperators, tol: float = BRACKET_TOLERANCE) -> RelationReport:
+def bracket_report(ops: LandauOperators) -> RelationReport:
     """Interior-block residuals of the defining Lie brackets and of the
-    angular-momentum identity."""
-    return _report(_bracket_residuals(ops), tol)
+    angular-momentum identity, within BRACKET_TOLERANCE."""
+    return _report(_bracket_residuals(ops), BRACKET_TOLERANCE)
 
 
-def lorentz_check(ops: LandauOperators, tol: float = LORENTZ_TOLERANCE) -> RelationReport:
-    """Heisenberg equations of motion: the velocity pair rotates at rate r/m
-    while momenta and angular momentum are conserved."""
-    return _report(_lorentz_residuals(ops), tol)
+def lorentz_check(ops: LandauOperators) -> RelationReport:
+    """Heisenberg equations of motion, within LORENTZ_TOLERANCE: the velocity
+    pair rotates at rate r/m while momenta and angular momentum are conserved."""
+    return _report(_lorentz_residuals(ops), LORENTZ_TOLERANCE)

@@ -71,9 +71,6 @@ class IntForm:
     def coefficients(self) -> tuple[int, ...]:
         return (self.const, *self.lin, self.bilin)
 
-    def is_zero(self) -> bool:
-        return not any(self.coefficients())
-
     def __add__(self, other: "IntForm") -> "IntForm":
         return IntForm(self.const + other.const,
                        tuple(a + b for a, b in zip(self.lin, other.lin)),
@@ -135,19 +132,15 @@ class PhaseForm:
 
     def is_identity(self, flux: Flux | None = None) -> bool:
         """Whether the phase is 1 at every site, for generic gauge angle and
-        the given flux (generic theta when flux is None or irrational)."""
-        if not self.c.is_zero():
-            return False
-        if flux is None or not flux.is_rational:
-            return self.a.is_zero() and self.b % 2 == 0
-        nu, den = flux.numerator, flux.denominator
-        coeffs = self.a.coefficients()
-        if any(co % den for co in coeffs):
-            return False
-        folded = [co // den * nu for co in coeffs]
-        if (self.b + folded[0]) % 2:
-            return False
-        return all(f % 2 == 0 for f in folded[1:])
+        the given flux (generic theta when flux is None or irrational).
+
+        The phase is affine-plus-bilinear in the site, so it is 1 everywhere
+        iff each coefficient, read as an exact phase (the pi channel rides
+        on the constant), is trivial; ExactPhase folds the rational kernel.
+        """
+        pairs = zip(self.a.coefficients(), self.c.coefficients())
+        return all(ExactPhase(a, self.b if i == 0 else 0, c).is_identity(flux)
+                   for i, (a, c) in enumerate(pairs))
 
 
 @dataclass(frozen=True)

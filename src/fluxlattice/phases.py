@@ -104,9 +104,6 @@ class ExactPhase:
             math.sin(0.5 * self.a * theta + math.pi * self.b + 0.5 * self.c * phi),
         )
 
-    def evaluate_at(self, flux: "Flux", phi: float = 0.0) -> complex:
-        return self.reduce(flux).evaluate(flux.theta, phi)
-
     def __str__(self) -> str:
         parts = []
         if self.a:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,22 @@ def test_invalid_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("option,name", [("--r", "r"), ("--m", "mass")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_landau_parameter_named(capsys, option, name, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as err:
+            main(["landau", f"{option}={value}", "--n-max", "8"])
+    assert err.value.code == 2
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"{name} must be finite" in errors[0]
     assert "Traceback" not in captured.err
 
 

@@ -31,11 +31,28 @@ class TestBuild:
         with pytest.raises(ValueError, match="n_max"):
             build_landau(1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_named(self, value):
+        with pytest.raises(ValueError, match="r must be finite"):
+            build_landau(value, 1.0, 10)
+        with pytest.raises(ValueError, match="mass must be finite"):
+            build_landau(1.0, value, 10)
+
     def test_allocation_budget_covers_the_three_factors(self, monkeypatch):
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 3 * 10 * 10 * 16)
         assert build_landau(1.0, 1.0, 10).x.shape == (10, 10)
         with pytest.raises(ValueError, match="allocation budget"):
             build_landau(1.0, 1.0, 11)
+
+    def test_allocation_budget_covers_full_space_reads(self, monkeypatch):
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 10**4 * 16 - 1)
+        ops = build_landau(1.0, 1.0, 10)
+        assert bracket_report(ops).all_pass
+        for name in ("p1", "p2", "q1", "q2", "ham", "ang"):
+            with pytest.raises(ValueError, match="allocation budget"):
+                getattr(ops, name)
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 10**4 * 16)
+        assert ops.ham.shape == (100, 100)
 
     def test_hermitian_generators(self):
         ops = build_landau(1.5, 2.0, 12)
@@ -92,6 +109,16 @@ class TestSpectrum:
     def test_degeneracy_is_momentum_mode_dimension(self):
         ops = build_landau(1.0, 1.0, 16)
         assert level_degeneracies(ops, 4) == [16, 16, 16, 16]
+
+    def test_degeneracies_solve_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+        assert level_degeneracies(build_landau(1.0, 1.0, 12), 4) == [12] * 4
+        assert calls == [(12, 12)]
+        with pytest.raises(ValueError, match="truncation"):
+            level_degeneracies(build_landau(1.0, 1.0, 12), 7)
 
     def test_truncation_guard(self):
         ops = build_landau(1.0, 1.0, 10)

@@ -1,5 +1,6 @@
 """Exact basis-map operators: representations, relations, gauge, truncation."""
 
+import itertools
 import math
 import random
 
@@ -341,3 +342,62 @@ class TestPhaseFormClosure:
         form = IntForm(0, (0, 0), 1)
         with pytest.raises(ValueError):
             form.compose_affine(((1, 1), (0, 1)), (0, 0))
+
+
+def folded_is_identity(form, flux):
+    """Reference: the hand-written rational-flux fold PhaseForm once carried."""
+    if any(form.c.coefficients()):
+        return False
+    if flux is None or not flux.is_rational:
+        return not any(form.a.coefficients()) and form.b % 2 == 0
+    nu, den = flux.numerator, flux.denominator
+    coeffs = form.a.coefficients()
+    if any(co % den for co in coeffs):
+        return False
+    folded = [co // den * nu for co in coeffs]
+    if (form.b + folded[0]) % 2:
+        return False
+    return all(f % 2 == 0 for f in folded[1:])
+
+
+def sitewise_is_identity(form, flux):
+    """The decision _witness_site makes: the phase is trivial at every site
+    of {0,1,2}^dim, which pins every affine-plus-bilinear coefficient."""
+    return all(form.evaluate(site).is_identity(flux)
+               for site in itertools.product(range(3), repeat=form.dim))
+
+
+def random_phase_form(dim, den, rand):
+    """A form whose theta coefficients are often multiples of den (even or
+    odd multiples; den 0 gives zeros) and whose gauge channel is usually
+    zero, so trivial forms are common."""
+    def coeff():
+        if rand.random() < 0.7:
+            return den * rand.randint(-3, 3)
+        return rand.randint(-5, 5)
+
+    def int_form(make):
+        return IntForm(make(), tuple(make() for _ in range(dim)),
+                       make() if dim == 2 else 0)
+    gauge = (lambda: 0) if rand.random() < 0.8 else (lambda: rand.randint(-1, 1))
+    return PhaseForm(int_form(coeff), rand.randint(-2, 3), int_form(gauge))
+
+
+class TestPhaseFormIdentity:
+    FLUXES = [None, GOLDEN, Flux.sqrt2(), Flux.rational(0, 1)] + [
+        Flux.rational(nu, q) for q in range(2, 9) for nu in range(1, q)
+        if math.gcd(nu, q) == 1]
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=str)
+    def test_agrees_with_fold_and_sitewise_decision(self, flux):
+        rand = random.Random(f"{flux}")
+        den = flux.denominator if flux is not None and flux.is_rational else 0
+        trivial = 0
+        for _ in range(300):
+            form = random_phase_form(rand.choice((1, 2)), den, rand)
+            expected = folded_is_identity(form, flux)
+            assert form.is_identity(flux) == expected, form
+            assert sitewise_is_identity(form, flux) == expected, form
+            trivial += expected
+        # both verdicts are exercised at every flux
+        assert 0 < trivial < 300
