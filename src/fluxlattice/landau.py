@@ -150,28 +150,30 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
                            ham_mode=ham_mode, s=sgn * 0.5)
 
 
-def _mode_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
-    """Every eigenvalue of ham_mode, once n_levels fits the truncation:
-    beyond n_max/2 the truncated top state pollutes the ladder."""
-    if n_levels > ops.n_max // 2:
+def _mode_spectrum(ops: LandauOperators, n_levels: int, n_max_needed: int) -> np.ndarray:
+    """Every eigenvalue of ham_mode, once the truncation holds n_levels."""
+    if ops.n_max < n_max_needed:
         raise ValueError(f"truncation too small: n_levels={n_levels} needs "
-                         f"n_max >= {2 * n_levels}")
+                         f"n_max >= {n_max_needed}")
     return np.linalg.eigvalsh(ops.ham_mode)
 
 
 def hamiltonian_spectrum(ops: LandauOperators, n_levels: int) -> np.ndarray:
     """Lowest n_levels eigenvalues of the Hamiltonian on the velocity mode;
-    they match (|r|/m)(n - 1/2) for n = 1..n_levels."""
-    return _mode_spectrum(ops, n_levels)[:n_levels]
+    they match (|r|/m)(n - 1/2) for n = 1..n_levels while 2 * n_levels <= n_max
+    (beyond n_max/2 the truncated top state pollutes the ladder)."""
+    return _mode_spectrum(ops, n_levels, 2 * n_levels)[:n_levels]
 
 
 def level_degeneracies(ops: LandauOperators, n_levels: int) -> list[int]:
     """Multiplicity of each of the lowest n_levels levels on the full
     two-mode space; each should equal the retained momentum-mode dimension.
 
-    H = I⊗ham_mode repeats every single-mode eigenvalue n_max times.
+    H = I⊗ham_mode repeats every single-mode eigenvalue n_max times.  Needs
+    2 * n_levels < n_max: at even n_max the truncated top state sits at
+    |r|(n_max - 1)/(2m), exactly level n_max/2, and would double its count.
     """
-    mode = _mode_spectrum(ops, n_levels)
+    mode = _mode_spectrum(ops, n_levels, 2 * n_levels + 1)
     return [ops.n_max * int(np.sum(np.abs(mode - lv) < LORENTZ_TOLERANCE))
             for lv in mode[:n_levels]]
 

@@ -131,6 +131,19 @@ class TestButterfly:
         assert doc["points"][0].keys() == {"phi", "E"}
 
 
+    def test_oversized_sweep_refused_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["butterfly", "--q-max", "100000", "--k-grid", "20", "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "allocation budget" in errors[0]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
 class TestLandau:
     def test_defaults_pass(self, capsys):
         code, out, _ = run(capsys, "landau", "--n-max", "16")

@@ -125,6 +125,16 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="truncation"):
             hamiltonian_spectrum(ops, 6)
 
+    def test_degeneracies_stop_below_the_truncated_top_state(self):
+        # at even n_max the top state of the truncated ladder sits exactly on
+        # level n_max/2; at odd n_max it falls between two levels
+        ops = build_landau(1.0, 1.0, 12)
+        assert level_degeneracies(ops, 5) == [12] * 5
+        with pytest.raises(ValueError, match="n_max >= 13"):
+            level_degeneracies(ops, 6)
+        assert len(hamiltonian_spectrum(ops, 6)) == 6
+        assert level_degeneracies(build_landau(1.0, 1.0, 9), 4) == [9] * 4
+
 
 class TestMotion:
     def test_lorentz_residuals(self):
@@ -237,11 +247,11 @@ class TestFactorCrossCheck:
             assert report.all_pass, report.to_text()
             assert all(type(c.holds) is bool for c in report.checks)
 
-        n_levels = n_max // 2
-        levels = hamiltonian_spectrum(ops, n_levels)
+        n_levels = (n_max - 1) // 2
+        levels = hamiltonian_spectrum(ops, n_max // 2)
         full_levels = np.linalg.eigvalsh(ops.ham)
         expected = [int(np.sum(np.abs(full_levels - lv) < LORENTZ_TOLERANCE))
-                    for lv in levels]
+                    for lv in levels[:n_levels]]
         assert level_degeneracies(ops, n_levels) == expected
 
 

@@ -1,7 +1,9 @@
 """Bloch matrices, Harper spectra, butterfly datasets and approximants."""
 
+import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from fluxlattice import spectral
+from fluxlattice.cli import main
 from fluxlattice.phases import Flux, RationalFluxError
 from fluxlattice.spectral import (
     ButterflyDataset,
@@ -216,6 +219,170 @@ class TestGoldenFiles:
             assert np.max(np.abs(a - b)) < 1e-12
 
 
+# Reference serializers: the line-by-line CSV reader and writer and the
+# json.dump writer.  The numpy readers and the chunked writers must agree
+# with them exactly.
+def reference_group(rows):
+    by_flux = {}
+    for n, d, e in rows:
+        by_flux.setdefault((int(n), int(d)), []).append(float(e))
+    return [(n, d, np.array(es)) for (n, d), es in sorted(
+        by_flux.items(), key=lambda item: Fraction(*item[0]))]
+
+
+def reference_from_csv(path, q_max=0, k_grid=0):
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "phi_num,phi_den,energy":
+            raise ValueError(f"unexpected CSV header {header!r}")
+        entries = reference_group(line.rstrip("\n").split(",") for line in fh)
+    return ButterflyDataset(q_max, k_grid, entries)
+
+
+def reference_to_csv(ds, path):
+    with open(path, "w") as fh:
+        fh.write("phi_num,phi_den,energy\n")
+        for num, den, samples in ds.entries:
+            prefix = f"{num},{den},"
+            fh.writelines(prefix + repr(float(e)) + "\n" for e in samples)
+
+
+def reference_from_json(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    entries = reference_group((*point["phi"], point["E"]) for point in doc["points"])
+    return ButterflyDataset(doc["q_max"], doc["k_grid"], entries)
+
+
+def reference_to_json(ds, path):
+    doc = {"q_max": ds.q_max, "k_grid": ds.k_grid,
+           "points": [{"phi": [n, d], "E": e}
+                      for n, d, samples in ds.entries for e in samples.tolist()]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def same_bits(a, b):
+    """Same fluxes in the same order and bit-identical float64 samples, so
+    NaN matches NaN and -0.0 does not match 0.0."""
+    return ([(n, d) for n, d, _ in a.entries] == [(n, d) for n, d, _ in b.entries]
+            and all(x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
+                    for (_, _, x), (_, _, y) in zip(a.entries, b.entries)))
+
+
+def read_quietly(reader, path, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return reader(path, *args)
+
+
+class TestAgainstReference:
+    def test_butterfly_bytes_and_values(self, tmp_path, monkeypatch):
+        ds = butterfly(7, 10)
+        reference_to_csv(ds, tmp_path / "ref.csv")
+        reference_to_json(ds, tmp_path / "ref.json")
+
+        def no_dump(*args, **kwargs):
+            raise AssertionError("to_json must not run json.dump")
+        monkeypatch.setattr(json, "dump", no_dump)
+        ds.to_csv(tmp_path / "new.csv")
+        ds.to_json(tmp_path / "new.json")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+        from_csv = read_quietly(ButterflyDataset.from_csv, tmp_path / "ref.csv", 7, 10)
+        assert same_bits(from_csv, reference_from_csv(tmp_path / "ref.csv", 7, 10))
+        assert from_csv == ds
+        from_json = read_quietly(ButterflyDataset.from_json, tmp_path / "ref.json")
+        assert same_bits(from_json, reference_from_json(tmp_path / "ref.json"))
+        assert from_json == ds
+
+    def test_interleaved_rows_group_like_the_reference(self, tmp_path):
+        ds = butterfly(5, 6)
+        shuffle = random.Random(5)
+        queues = {(n, d): samples.tolist() for n, d, samples in ds.entries}
+        rows = []
+        while queues:
+            key = shuffle.choice(sorted(queues))
+            take = queues[key][:shuffle.randint(1, 40)]
+            del queues[key][:len(take)]
+            if not queues[key]:
+                del queues[key]
+            rows += [(*key, e) for e in take]
+        assert len(rows) == ds.n_rows()
+        assert sum(a[:2] != b[:2] for a, b in zip(rows, rows[1:])) > 2 * len(ds.entries)
+        csv_path, json_path = tmp_path / "mixed.csv", tmp_path / "mixed.json"
+        csv_path.write_text("phi_num,phi_den,energy\n"
+                            + "".join(f"{n},{d},{e!r}\n" for n, d, e in rows))
+        json_path.write_text(json.dumps({"q_max": 5, "k_grid": 6, "points": [
+            {"phi": [n, d], "E": e} for n, d, e in rows]}))
+        from_csv = read_quietly(ButterflyDataset.from_csv, csv_path, 5, 6)
+        assert same_bits(from_csv, reference_from_csv(csv_path, 5, 6))
+        assert from_csv == ds
+        from_json = read_quietly(ButterflyDataset.from_json, json_path)
+        assert same_bits(from_json, reference_from_json(json_path))
+        assert from_json == ds
+
+    def test_empty_files(self, tmp_path):
+        csv_path, json_path = tmp_path / "empty.csv", tmp_path / "empty.json"
+        csv_path.write_text("phi_num,phi_den,energy\n")
+        json_path.write_text('{"q_max": 2, "k_grid": 4, "points": []}')
+        from_csv = read_quietly(ButterflyDataset.from_csv, csv_path, 2, 4)
+        from_json = read_quietly(ButterflyDataset.from_json, json_path)
+        for got in (from_csv, from_json):
+            assert got.entries == [] and got.n_rows() == 0
+        assert from_csv == reference_from_csv(csv_path, 2, 4)
+        assert from_json == reference_from_json(json_path)
+        from_json.to_json(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == json_path.read_bytes()
+
+    def test_special_values(self, tmp_path):
+        ds = ButterflyDataset(3, 4, [
+            (0, 1, np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])),
+            (1, 2, np.array([], dtype=np.float64)),
+            (1, 3, np.array([-1.7976931348623157e308, 0.1, 1 / 3])),
+        ])
+        nonempty = ButterflyDataset(3, 4, [ds.entries[0], ds.entries[2]])
+        ds.to_json(tmp_path / "new.json")
+        reference_to_json(ds, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert b"NaN" in (tmp_path / "new.json").read_bytes()
+        ds.to_csv(tmp_path / "new.csv")
+        reference_to_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert same_bits(ButterflyDataset.from_csv(tmp_path / "new.csv", 3, 4), nonempty)
+        assert same_bits(ButterflyDataset.from_json(tmp_path / "new.json"), nonempty)
+
+    @pytest.mark.parametrize("text", [
+        "phi,den,energy\n0,1,0.5\n",
+        "phi_num,phi_den,energy\n0,1\n",
+        "phi_num,phi_den,energy\n0,1,0.5,7\n",
+        "phi_num,phi_den,energy\n0,1,0.5\n1,2,abc\n",
+        "phi_num,phi_den,energy\nx,1,0.5\n",
+        "phi_num,phi_den,energy\n1.0,2,0.5\n",
+        "phi_num,phi_den,energy\n# 0,1,0.5\n",
+    ], ids=["header", "short", "long", "energy", "numerator", "float-numerator",
+            "comment"])
+    def test_malformed_csv_raises(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            reference_from_csv(path)
+        with pytest.raises(ValueError):
+            ButterflyDataset.from_csv(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_files_match_the_reference_writers(self, tmp_path, capsys, fmt):
+        # the README example size
+        out = tmp_path / f"cli.{fmt}"
+        assert main(["butterfly", "--q-max", "10", "--k-grid", "20",
+                     "--format", fmt, "--out", str(out)]) == 0
+        capsys.readouterr()
+        writer = reference_to_csv if fmt == "csv" else reference_to_json
+        writer(butterfly(10, 20), tmp_path / f"ref.{fmt}")
+        assert out.read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
 class TestAllocationBudget:
     def test_spectrum_budget_is_the_bloch_stack(self, monkeypatch):
         # q = 4, k_grid = 8: gcd 4, so 2 * 8 complex 4 x 4 matrices = 4096 bytes
@@ -238,6 +405,30 @@ class TestAllocationBudget:
         with pytest.raises(ValueError, match=f"q={largest},"):
             approximant_spectra(Flux.golden(), 5, k_grid)
         assert solved == []
+
+
+    def test_butterfly_sizes_the_whole_sweep_first(self, monkeypatch):
+        # q_max = 3, k_grid = 6: 0/1, 1/2, 1/3, 2/3 hold (1 + 2 + 3 + 3) * 36
+        # floats, more than any one of their Bloch stacks (1728 bytes at q = 3)
+        nbytes = 8 * 36 * (1 + 2 + 3 + 3)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: solved.append(a.shape) or eigvalsh(a))
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
+        with pytest.raises(ValueError, match="allocation budget"):
+            butterfly(3, 6)
+        assert solved == []
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes)
+        assert 8 * butterfly(3, 6).n_rows() == nbytes
+        assert len(solved) == 4
+
+    def test_huge_sweep_refused_before_listing_fluxes(self, monkeypatch):
+        listed = []
+        monkeypatch.setattr(spectral, "flux_values", lambda q_max: listed.append(q_max))
+        with pytest.raises(ValueError, match=r"up to q=118 at k_grid=20"):
+            butterfly(10**9, 20)
+        assert listed == []
 
 
 class TestHausdorff:
