@@ -69,30 +69,33 @@ def _mono_product(x: Monomial, y: Monomial) -> Monomial:
     """
     a1, a2, b1, b2 = x.exponents
     c1, c2, d1, d2 = y.exponents
+    px, py = x.phase, y.phase
     swaps = -2 * a2 * c1 + 2 * b2 * d1
     return Monomial(
         (a1 + c1, a2 + c2, b1 + d1, b2 + d2),
-        x.phase * y.phase * ExactPhase(swaps, 0, 0),
+        ExactPhase(px.a + py.a + swaps, px.b + py.b, px.c + py.c),
     )
 
 
 def _mono_adjoint(x: Monomial) -> Monomial:
     """Adjoint of a unitary monomial: invert the word, then re-normal-order."""
     j1, j2, k1, k2 = x.exponents
+    ph = x.phase
     reorder = -2 * j1 * j2 + 2 * k1 * k2
     return Monomial(
         (-j1, -j2, -k1, -k2),
-        x.phase.inverse() * ExactPhase(reorder, 0, 0),
+        ExactPhase(reorder - ph.a, -ph.b, -ph.c),
     )
 
 
 def _mono_zeta(x: Monomial) -> Monomial:
     """Quarter-turn conjugate: exponents (j1,j2,k1,k2) -> (-j2,j1,-k2,k1)."""
     j1, j2, k1, k2 = x.exponents
+    ph = x.phase
     reorder = 2 * j1 * j2 - 2 * k1 * k2
     return Monomial(
         (-j2, j1, -k2, k1),
-        x.phase * ExactPhase(reorder, 0, 0),
+        ExactPhase(ph.a + reorder, ph.b, ph.c),
     )
 
 
@@ -156,10 +159,6 @@ class AlgebraElement:
         """Multiply every term by a constant exact phase."""
         return AlgebraElement(
             [(c, Monomial(m.exponents, phase * m.phase)) for c, m in self.terms()])
-
-    def equals(self, other: "AlgebraElement") -> bool:
-        """Structural equality, phase-aware: the same exact term keys."""
-        return self == other
 
     def numeric_equals(self, other: "AlgebraElement", flux: Flux,
                        phi: float = 0.0, tol: float = NUMERIC_TOLERANCE) -> bool:

@@ -14,6 +14,7 @@ tolerance; matrices appear only when an operator is truncated to a window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -80,22 +81,27 @@ class IntForm:
         return IntForm(-self.const, tuple(-a for a in self.lin), -self.bilin)
 
     def compose_affine(self, matrix: tuple[tuple[int, ...], ...],
-                       shift: tuple[int, ...]) -> "IntForm":
-        """The form x -> f(M x + t)."""
-        if self.dim == 1:
-            m = matrix[0][0]
-            t = shift[0]
-            return IntForm(self.const + self.lin[0] * t, (self.lin[0] * m,))
+                       shift: tuple[int, ...],
+                       addend: "IntForm | None" = None) -> "IntForm":
+        """The form x -> f(M x + t) + g(x) for the addend g (zero when
+        omitted).  Each coefficient of the sum is built in the same pass as
+        the precomposition, so composing two operators makes one IntForm per
+        phase channel instead of a precomposed form and then its sum."""
+        g = IntForm.zero(len(self.lin)) if addend is None else addend
+        if len(self.lin) == 1:
+            ((m,),), (t,), (a,) = matrix, shift, self.lin
+            return IntForm(self.const + a * t + g.const, (a * m + g.lin[0],), g.bilin)
         (m11, m12), (m21, m22) = matrix
         t1, t2 = shift
-        a, b, w = self.lin[0], self.lin[1], self.bilin
-        if w * m11 * m21 or w * m12 * m22:
+        (a, b), w = self.lin, self.bilin
+        if w and (m11 * m21 or m12 * m22):
             raise ValueError("bilinear form does not stay in class under this map")
+        g1, g2 = g.lin
         return IntForm(
-            self.const + a * t1 + b * t2 + w * t1 * t2,
-            (a * m11 + b * m21 + w * (m11 * t2 + m21 * t1),
-             a * m12 + b * m22 + w * (m12 * t2 + m22 * t1)),
-            w * (m11 * m22 + m12 * m21),
+            self.const + a * t1 + b * t2 + w * t1 * t2 + g.const,
+            (a * m11 + b * m21 + w * (m11 * t2 + m21 * t1) + g1,
+             a * m12 + b * m22 + w * (m12 * t2 + m22 * t1) + g2),
+            w * (m11 * m22 + m12 * m21) + g.bilin,
         )
 
 
@@ -125,10 +131,15 @@ class PhaseForm:
     def __neg__(self) -> "PhaseForm":
         return PhaseForm(-self.a, (-self.b) % 2, -self.c)
 
-    def precompose(self, site_map: "SiteMap") -> "PhaseForm":
-        return PhaseForm(self.a.compose_affine(site_map.matrix, site_map.shift),
-                         self.b,
-                         self.c.compose_affine(site_map.matrix, site_map.shift))
+    def precompose(self, site_map: "SiteMap",
+                   addend: "PhaseForm | None" = None) -> "PhaseForm":
+        """The form x -> f(site_map(x)) + g(x) for the addend g (zero when
+        omitted), one pass per channel."""
+        g = PhaseForm.zero(self.dim) if addend is None else addend
+        mat, shift = site_map.matrix, site_map.shift
+        return PhaseForm(self.a.compose_affine(mat, shift, g.a),
+                         (self.b + g.b) % 2,
+                         self.c.compose_affine(mat, shift, g.c))
 
     def is_identity(self, flux: Flux | None = None) -> bool:
         """Whether the phase is 1 at every site, for generic gauge angle and
@@ -143,6 +154,11 @@ class PhaseForm:
                    for i, (a, c) in enumerate(pairs))
 
 
+@functools.cache
+def _identity_matrix(dim: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
 @dataclass(frozen=True)
 class SiteMap:
     """Affine bijection of the lattice: signed-permutation matrix plus shift."""
@@ -152,8 +168,7 @@ class SiteMap:
 
     @classmethod
     def identity(cls, dim: int) -> "SiteMap":
-        mat = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-        return cls(mat, (0,) * dim)
+        return cls(_identity_matrix(dim), (0,) * dim)
 
     @classmethod
     def translation(cls, shift: tuple[int, ...]) -> "SiteMap":
@@ -164,24 +179,27 @@ class SiteMap:
         return len(self.shift)
 
     def apply(self, site: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(row[j] * site[j] for j in range(self.dim)) + t
+        return tuple(sum(m * x for m, x in zip(row, site)) + t
                      for row, t in zip(self.matrix, self.shift))
 
     def compose(self, other: "SiteMap") -> "SiteMap":
-        """self after other."""
-        mat = tuple(
-            tuple(sum(self.matrix[i][k] * other.matrix[k][j] for k in range(self.dim))
-                  for j in range(self.dim))
-            for i in range(self.dim))
-        shift = self.apply(other.shift)
-        return SiteMap(mat, shift)
+        """self after other.  An identity-matrix operand skips the matrix
+        product: the result keeps the other operand's matrix."""
+        identity = _identity_matrix(len(self.shift))
+        if other.matrix == identity:
+            return SiteMap(self.matrix, self.apply(other.shift))
+        if self.matrix == identity:
+            return SiteMap(other.matrix,
+                           tuple(s + t for s, t in zip(other.shift, self.shift)))
+        cols = tuple(zip(*other.matrix))
+        mat = tuple(tuple(sum(m * n for m, n in zip(row, col)) for col in cols)
+                    for row in self.matrix)
+        return SiteMap(mat, self.apply(other.shift))
 
     def inverse(self) -> "SiteMap":
         # signed permutations are orthogonal, so the inverse matrix is the transpose
-        inv = tuple(tuple(self.matrix[j][i] for j in range(self.dim))
-                    for i in range(self.dim))
-        shift = tuple(-sum(inv[i][j] * self.shift[j] for j in range(self.dim))
-                      for i in range(self.dim))
+        inv = tuple(zip(*self.matrix))
+        shift = tuple(-sum(m * t for m, t in zip(row, self.shift)) for row in inv)
         return SiteMap(inv, shift)
 
     def is_identity(self) -> bool:
@@ -215,7 +233,7 @@ class BasisMapOperator:
         """Composition self after other, computed exactly."""
         return BasisMapOperator(
             self.site_map.compose(other.site_map),
-            other.phase_form + self.phase_form.precompose(other.site_map),
+            self.phase_form.precompose(other.site_map, other.phase_form),
         )
 
     def inverse(self) -> "BasisMapOperator":
@@ -409,26 +427,35 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
     """Scan every word p1^j1 p2^j2 q1^k1 q2^k2 with |exponents| <= max_exp and
     record which commute exactly with both p1 and p2.  At irrational flux the
     commutant words must be exactly those with zero p exponents, supporting
-    the tensor factorization of the plane representation."""
+    the tensor factorization of the plane representation.
+
+    Words are the left-associated products ((p1^j1 p2^j2) q1^k1) q2^k2,
+    built from hoisted prefixes: p1^j1 p2^j2 once per (j1, j2), its product
+    with q1^k1 once per (j1, j2, k1), so each word costs one composition more
+    (plus |e| per generator power e, once per scan).  Each word is then
+    composed with p1 and with p2 on both sides and compared exactly; p2 is
+    tried only when p1 commutes.
+    """
     flux.require_irrational("the commutant scan")
     rep = build_wavefunction(flux)
-    gens = (rep.p1, rep.p2, rep.q1, rep.q2)
-    powers = [
-        {e: g**e for e in range(-max_exp, max_exp + 1)}
-        for g in gens
-    ]
+    exponent_range = range(-max_exp, max_exp + 1)
+    p1s, p2s, q1s, q2s = (
+        {e: g**e for e in exponent_range} for g in (rep.p1, rep.p2, rep.q1, rep.q2))
     commutant = []
     violations = []
-    exponent_range = range(-max_exp, max_exp + 1)
-    for j1, j2, k1, k2 in itertools.product(exponent_range, repeat=4):
-        word = powers[0][j1] @ powers[1][j2] @ powers[2][k1] @ powers[3][k2]
-        commutes = ((word @ rep.p1).equals(rep.p1 @ word, flux)
-                    and (word @ rep.p2).equals(rep.p2 @ word, flux))
+    for j1, j2 in itertools.product(exponent_range, repeat=2):
+        p_prefix = p1s[j1] @ p2s[j2]
         expected = (j1 == 0 and j2 == 0)
-        if commutes:
-            commutant.append((j1, j2, k1, k2))
-        if commutes != expected:
-            violations.append((j1, j2, k1, k2))
+        for k1 in exponent_range:
+            prefix = p_prefix @ q1s[k1]
+            for k2 in exponent_range:
+                word = prefix @ q2s[k2]
+                commutes = ((word @ rep.p1).equals(rep.p1 @ word, flux)
+                            and (word @ rep.p2).equals(rep.p2 @ word, flux))
+                if commutes:
+                    commutant.append((j1, j2, k1, k2))
+                if commutes != expected:
+                    violations.append((j1, j2, k1, k2))
     return CommutantReport(max_exp, flux, commutant, violations)
 
 
@@ -478,7 +505,7 @@ def truncate(op: BasisMapOperator, window: tuple[tuple[int, int], ...],
                     f"{flux.denominator}")
             wrap = SiteMap.translation(tuple(length if i == axis else 0
                                              for i in range(op.dim)))
-            drift = op.phase_form.precompose(wrap) + (-op.phase_form)
+            drift = op.phase_form.precompose(wrap, -op.phase_form)
             if not drift.is_identity(flux):
                 raise ValueError(
                     f"incompatible periodicity: the phase form is not periodic "

@@ -180,13 +180,16 @@ _ROW = np.dtype([("num", np.int64), ("den", np.int64), ("energy", np.float64)])
 def _group_by_flux(rows: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     """Per-flux sample arrays from `_ROW` records, in ascending Phi.  Each
     run of equal (nu, q) is one slice; the runs of a flux are joined in file
-    order, so interleaved rows group as well."""
+    order, so interleaved rows group as well.  A (nu, q) that is not a
+    reduced flux in [0, 1) raises ValueError."""
     nums, dens = rows["num"], rows["den"]
     starts = np.flatnonzero((nums[1:] != nums[:-1]) | (dens[1:] != dens[:-1])) + 1
     bounds = [0, *starts.tolist(), rows.size] if rows.size else []
     runs: dict[tuple[int, int], list[np.ndarray]] = {}
     for lo, hi in zip(bounds, bounds[1:]):
         runs.setdefault((int(nums[lo]), int(dens[lo])), []).append(rows["energy"][lo:hi])
+    for num, den in runs:
+        _validate_fraction(num, den)
     return [(n, d, np.concatenate(parts)) for (n, d), parts in sorted(
         runs.items(), key=lambda item: Fraction(*item[0]))]
 
@@ -223,11 +226,14 @@ class ButterflyDataset:
         return sum(samples.size for _n, _d, samples in self.entries)
 
     def __eq__(self, other) -> bool:
+        """Same sizes, fluxes and samples; NaN samples match NaN (so a
+        dataset equals its round trips) and 0.0 matches -0.0."""
         if not isinstance(other, ButterflyDataset):
             return NotImplemented
         return (self.q_max == other.q_max and self.k_grid == other.k_grid
                 and len(self.entries) == len(other.entries)
-                and all(a[0] == b[0] and a[1] == b[1] and np.array_equal(a[2], b[2])
+                and all(a[0] == b[0] and a[1] == b[1]
+                        and np.array_equal(a[2], b[2], equal_nan=True)
                         for a, b in zip(self.entries, other.entries)))
 
     def _chunks(self) -> Iterator[tuple[int, int, list[float]]]:

@@ -54,7 +54,7 @@ def test_02_invariant_hamiltonian_rederivation():
     coords = np.array([element_coordinates(el, max_j, GOLDEN.theta) for el in derived])
     same_span = (len(derived) == len(oracle)
                  and np.max(np.abs(_rref(coords) - np.array(oracle))) < 1e-9)
-    harper_ok = derived[1].equals(harper_element())
+    harper_ok = derived[1] == harper_element()
     report("2 invariant-Hamiltonian re-derivation", same_span and harper_ok,
            time.time() - t0, 10.0,
            f"{len(derived)} basis elements coincide with the constraint-solver "

@@ -51,116 +51,116 @@ def random_element(n_terms=3):
 class TestMultiply:
     def test_transposition_phase(self):
         p1, p2 = generator("p1"), generator("p2")
-        assert multiply(p2, p1).equals(mono(1, 1, 0, 0, ExactPhase(-2, 0, 0)))
-        assert multiply(p1, p2).equals(mono(1, 1, 0, 0))
+        assert multiply(p2, p1) == mono(1, 1, 0, 0, ExactPhase(-2, 0, 0))
+        assert multiply(p1, p2) == mono(1, 1, 0, 0)
 
     def test_mixed_generators_commute(self):
         p1, q1 = generator("p1"), generator("q1")
-        assert multiply(p1, q1).equals(mono(1, 0, 1, 0))
-        assert multiply(q1, p1).equals(mono(1, 0, 1, 0))
+        assert multiply(p1, q1) == mono(1, 0, 1, 0)
+        assert multiply(q1, p1) == mono(1, 0, 1, 0)
 
     def test_square_of_p1p2(self):
         x = multiply(generator("p1"), generator("p2"))
-        assert multiply(x, x).equals(mono(2, 2, 0, 0, ExactPhase(-2, 0, 0)))
+        assert multiply(x, x) == mono(2, 2, 0, 0, ExactPhase(-2, 0, 0))
 
     def test_q_transposition_has_opposite_sign(self):
         q1, q2 = generator("q1"), generator("q2")
-        assert multiply(q2, q1).equals(mono(0, 0, 1, 1, ExactPhase(2, 0, 0)))
+        assert multiply(q2, q1) == mono(0, 0, 1, 1, ExactPhase(2, 0, 0))
 
     def test_associative(self):
         for _ in range(60):
             x, y, z = random_element(), random_element(), random_element()
             lhs = multiply(multiply(x, y), z)
             rhs = multiply(x, multiply(y, z))
-            assert lhs.equals(rhs)
+            assert lhs == rhs
 
     def test_distributes_over_sums(self):
         for _ in range(30):
             x, y, z = random_element(), random_element(), random_element()
-            assert multiply(x, y + z).equals(multiply(x, y) + multiply(x, z))
+            assert multiply(x, y + z) == multiply(x, y) + multiply(x, z)
 
     def test_scalar_one_is_neutral(self):
         for _ in range(20):
             x = random_element()
-            assert multiply(one(), x).equals(x)
-            assert multiply(x, one()).equals(x)
+            assert multiply(one(), x) == x
+            assert multiply(x, one()) == x
 
 
 class TestAdjoint:
     def test_generator(self):
-        assert adjoint(generator("p1")).equals(mono(-1, 0, 0, 0))
+        assert adjoint(generator("p1")) == mono(-1, 0, 0, 0)
 
     def test_p1p2(self):
         x = multiply(generator("p1"), generator("p2"))
         expected = mono(-1, -1, 0, 0, ExactPhase(-2, 0, 0))
-        assert adjoint(x).equals(expected)
+        assert adjoint(x) == expected
         # the adjoint of a unitary monomial is its inverse
-        assert multiply(adjoint(x), x).equals(one())
+        assert multiply(adjoint(x), x) == one()
 
     def test_harper_selfadjoint(self):
         h = harper_element()
-        assert adjoint(h).equals(h)
+        assert adjoint(h) == h
 
     def test_involution(self):
         for _ in range(50):
             x = random_element()
-            assert adjoint(adjoint(x)).equals(x)
+            assert adjoint(adjoint(x)) == x
 
     def test_anti_homomorphism(self):
         for _ in range(50):
             x, y = random_element(), random_element()
             lhs = adjoint(multiply(x, y))
             rhs = multiply(adjoint(y), adjoint(x))
-            assert lhs.equals(rhs)
+            assert lhs == rhs
 
 
 class TestConjugation:
     def test_translation_phase(self):
         x = multiply(generator("p1"), generator("p2"))
-        assert conjugate_by_translation(x, "p1").equals(
+        assert conjugate_by_translation(x, "p1") == (
             AlgebraElement([(1.0, Monomial((1, 1, 0, 0), ExactPhase(2, 0, 0)))]))
 
     def test_q_power_unmoved_by_p(self):
         for j in (-3, 1, 4):
             x = mono(0, 0, j, 0)
-            assert conjugate_by_translation(x, "p1").equals(x)
+            assert conjugate_by_translation(x, "p1") == x
 
     def test_self_conjugation_trivial(self):
         p2 = generator("p2")
-        assert conjugate_by_translation(p2, "p2").equals(p2)
+        assert conjugate_by_translation(p2, "p2") == p2
 
     def test_conjugation_inverts(self):
         for _ in range(30):
             x = random_element()
             g = rng.choice(("p1", "p2", "q1", "q2"))
             back = conjugate_by_translation(conjugate_by_translation(x, g), g, power=-1)
-            assert back.equals(x)
+            assert back == x
 
     def test_zeta_on_generators(self):
-        assert conjugate_by_zeta(generator("q1")).equals(generator("q2"))
-        assert conjugate_by_zeta(generator("p2")).equals(mono(-1, 0, 0, 0))
-        assert conjugate_by_zeta(generator("p1")).equals(generator("p2"))
-        assert conjugate_by_zeta(generator("q2")).equals(mono(0, 0, -1, 0))
+        assert conjugate_by_zeta(generator("q1")) == generator("q2")
+        assert conjugate_by_zeta(generator("p2")) == mono(-1, 0, 0, 0)
+        assert conjugate_by_zeta(generator("p1")) == generator("p2")
+        assert conjugate_by_zeta(generator("q2")) == mono(0, 0, -1, 0)
 
     def test_zeta_order_four(self):
         x = multiply(multiply(generator("p1"), generator("p2")), generator("q1"))
         cur = x
         for _ in range(4):
             cur = conjugate_by_zeta(cur)
-        assert cur.equals(x)
+        assert cur == x
         for _ in range(20):
             y = random_element()
             cur = y
             for _ in range(4):
                 cur = conjugate_by_zeta(cur)
-            assert cur.equals(y)
+            assert cur == y
 
     def test_zeta_is_automorphism(self):
         for _ in range(40):
             x, y = random_element(), random_element()
             lhs = conjugate_by_zeta(multiply(x, y))
             rhs = multiply(conjugate_by_zeta(x), conjugate_by_zeta(y))
-            assert lhs.equals(rhs)
+            assert lhs == rhs
 
 
 class TestInvariance:
@@ -186,16 +186,16 @@ class TestInvariance:
         for j1 in range(-3, 4):
             for j2 in range(-3, 4):
                 x = mono(j1, j2, 1, -2)
-                fixed = (conjugate_by_translation(x, "p1").equals(x)
-                         and conjugate_by_translation(x, "p2").equals(x))
+                fixed = (conjugate_by_translation(x, "p1") == x
+                         and conjugate_by_translation(x, "p2") == x)
                 assert fixed == (j1 == 0 and j2 == 0)
 
     def test_q_conjugation_fixed_monomials_have_zero_q_exponents(self):
         for k1 in range(-3, 4):
             for k2 in range(-3, 4):
                 x = mono(2, -1, k1, k2)
-                fixed = (conjugate_by_translation(x, "q1").equals(x)
-                         and conjugate_by_translation(x, "q2").equals(x))
+                fixed = (conjugate_by_translation(x, "q1") == x
+                         and conjugate_by_translation(x, "q2") == x)
                 assert fixed == (k1 == 0 and k2 == 0)
 
 
@@ -298,20 +298,20 @@ class TestDerivation:
         # half-flux-twisted diagonal element
         basis = derive_invariant_basis(1, GOLDEN)
         assert len(basis) == 3
-        assert basis[0].equals(one())
-        assert basis[1].equals(harper_element())
+        assert basis[0] == one()
+        assert basis[1] == harper_element()
         diagonal = AlgebraElement([
             (1.0, Monomial((0, 0, 1, 1), ExactPhase(1, 0, 0))),
             (1.0, Monomial((0, 0, -1, 1), ExactPhase(-1, 0, 0))),
             (1.0, Monomial((0, 0, -1, -1), ExactPhase(1, 0, 0))),
             (1.0, Monomial((0, 0, 1, -1), ExactPhase(-1, 0, 0))),
         ])
-        assert basis[2].equals(diagonal)
+        assert basis[2] == diagonal
 
     def test_each_element_invariant_and_selfadjoint(self):
         for el in derive_invariant_basis(3, GOLDEN):
             assert is_invariant(el, GOLDEN)
-            assert adjoint(el).equals(el)
+            assert adjoint(el) == el
 
     @pytest.mark.parametrize("max_j", [1, 2, 3, 4])
     def test_matches_brute_force_oracle(self, max_j):
@@ -327,7 +327,7 @@ class TestDerivation:
 
     def test_harper_element_is_range_one_axis_term(self):
         basis = derive_invariant_basis(4, GOLDEN)
-        assert harper_element().equals(basis[1])
+        assert harper_element() == basis[1]
 
 
 class TestRendering:
@@ -354,7 +354,7 @@ class TestNumericEquality:
         sym = AlgebraElement([(1.0, Monomial((0, 0, 1, 0), ExactPhase(2, 0, 0)))])
         val = np.exp(1j * GOLDEN.theta)
         num = AlgebraElement([(val, Monomial((0, 0, 1, 0), ExactPhase.identity()))])
-        assert not sym.equals(num)
+        assert sym != num
         assert sym.numeric_equals(num, GOLDEN)
 
     def test_detects_difference(self):

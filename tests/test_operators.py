@@ -1,5 +1,6 @@
 """Exact basis-map operators: representations, relations, gauge, truncation."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -246,6 +247,60 @@ class TestCommutant:
         with pytest.raises(RationalFluxError):
             commutant_monomial_check(Flux.rational(1, 3), 2)
 
+    @pytest.mark.parametrize("max_exp", [2, 3])
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.sqrt2()], ids=str)
+    def test_hoisted_scan_matches_per_word_scan(self, flux, max_exp):
+        report = commutant_monomial_check(flux, max_exp)
+        commutant, violations = reference_scan(flux, max_exp)
+        assert report.commutant_exponents == commutant
+        assert report.violations == violations
+        assert (report.max_exp, report.flux) == (max_exp, flux)
+
+    def test_composition_count(self, monkeypatch):
+        # 12,739 compositions when every word is built from its four powers
+        calls = []
+        matmul = BasisMapOperator.__matmul__
+
+        def counted(self, other):
+            calls.append(None)
+            return matmul(self, other)
+        monkeypatch.setattr(BasisMapOperator, "__matmul__", counted)
+        assert commutant_monomial_check(GOLDEN, 3).passed
+        assert len(calls) <= 8329
+
+    def test_twisted_q1_reports_violations(self, monkeypatch):
+        # q1 with an extra e^{i*th*m1} no longer commutes with p1
+        build = operators.build_wavefunction
+        twist = BasisMapOperator(SiteMap.identity(2),
+                                 PhaseForm(IntForm(0, (2, 0)), 0, IntForm.zero(2)))
+
+        def twisted(flux, gauge_units=0):
+            rep = build(flux, gauge_units)
+            return dataclasses.replace(rep, q1=rep.q1 @ twist)
+        monkeypatch.setattr(operators, "build_wavefunction", twisted)
+        report = commutant_monomial_check(GOLDEN, 1)
+        assert not report.passed
+        assert (0, 0, 1, 0) in report.violations
+        assert report.violations == reference_scan(GOLDEN, 1, twisted(GOLDEN))[1]
+
+
+def reference_scan(flux, max_exp, rep=None):
+    """The scan as first written: every word built from its four generator
+    powers, left to right."""
+    rep = rep or build_wavefunction(flux)
+    exps = range(-max_exp, max_exp + 1)
+    powers = [{e: g**e for e in exps} for g in (rep.p1, rep.p2, rep.q1, rep.q2)]
+    commutant, violations = [], []
+    for j1, j2, k1, k2 in itertools.product(exps, repeat=4):
+        word = powers[0][j1] @ powers[1][j2] @ powers[2][k1] @ powers[3][k2]
+        commutes = ((word @ rep.p1).equals(rep.p1 @ word, flux)
+                    and (word @ rep.p2).equals(rep.p2 @ word, flux))
+        if commutes:
+            commutant.append((j1, j2, k1, k2))
+        if commutes != (j1 == 0 and j2 == 0):
+            violations.append((j1, j2, k1, k2))
+    return commutant, violations
+
 
 class TestTruncate:
     def test_open_shift_has_defect(self):
@@ -401,3 +456,117 @@ class TestPhaseFormIdentity:
             trivial += expected
         # both verdicts are exercised at every flux
         assert 0 < trivial < 300
+
+
+# Reference composition: the site-map product with index loops and the
+# phase precomposition followed by a separate sum, as first written.  The
+# fused kernel behind BasisMapOperator.__matmul__ and inverse must agree
+# with it exactly.
+def reference_compose_affine(form, matrix, shift):
+    if form.dim == 1:
+        return IntForm(form.const + form.lin[0] * shift[0], (form.lin[0] * matrix[0][0],))
+    (m11, m12), (m21, m22) = matrix
+    t1, t2 = shift
+    a, b, w = form.lin[0], form.lin[1], form.bilin
+    if w * m11 * m21 or w * m12 * m22:
+        raise ValueError("bilinear form does not stay in class under this map")
+    return IntForm(
+        form.const + a * t1 + b * t2 + w * t1 * t2,
+        (a * m11 + b * m21 + w * (m11 * t2 + m21 * t1),
+         a * m12 + b * m22 + w * (m12 * t2 + m22 * t1)),
+        w * (m11 * m22 + m12 * m21),
+    )
+
+
+def reference_precompose(form, site_map):
+    return PhaseForm(reference_compose_affine(form.a, site_map.matrix, site_map.shift),
+                     form.b,
+                     reference_compose_affine(form.c, site_map.matrix, site_map.shift))
+
+
+def reference_apply(site_map, site):
+    dim = len(site_map.shift)
+    return tuple(sum(row[j] * site[j] for j in range(dim)) + t
+                 for row, t in zip(site_map.matrix, site_map.shift))
+
+
+def reference_site_compose(x, y):
+    dim = len(x.shift)
+    mat = tuple(tuple(sum(x.matrix[i][k] * y.matrix[k][j] for k in range(dim))
+                      for j in range(dim))
+                for i in range(dim))
+    return SiteMap(mat, reference_apply(x, y.shift))
+
+
+def reference_site_inverse(x):
+    dim = len(x.shift)
+    inv = tuple(tuple(x.matrix[j][i] for j in range(dim)) for i in range(dim))
+    shift = tuple(-sum(inv[i][j] * x.shift[j] for j in range(dim)) for i in range(dim))
+    return SiteMap(inv, shift)
+
+
+def reference_matmul(x, y):
+    return BasisMapOperator(reference_site_compose(x.site_map, y.site_map),
+                            y.phase_form + reference_precompose(x.phase_form, y.site_map))
+
+
+def reference_inverse(x):
+    inv_map = reference_site_inverse(x.site_map)
+    return BasisMapOperator(inv_map, -(reference_precompose(x.phase_form, inv_map)))
+
+
+SIGNED_PERMUTATIONS_1D = [((1,),), ((-1,),)]
+SIGNED_PERMUTATIONS_2D = [
+    tuple(tuple(sign[i] if j == perm[i] else 0 for j in range(2)) for i in range(2))
+    for perm in itertools.permutations(range(2))
+    for sign in itertools.product((1, -1), repeat=2)]
+
+
+def random_operator(dim, matrix, rand, bilinear):
+    def int_form():
+        return IntForm(rand.randint(-6, 6), tuple(rand.randint(-6, 6) for _ in range(dim)),
+                       rand.randint(-3, 3) if bilinear else 0)
+    shift = tuple(rand.randint(-5, 5) for _ in range(dim))
+    return BasisMapOperator(SiteMap(matrix, shift),
+                            PhaseForm(int_form(), rand.randint(0, 1), int_form()))
+
+
+class TestFusedComposition:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_reference(self, dim):
+        # every pair of signed permutations, identity operands included, with
+        # and without the bilinear term: 400 pairs in 1-D, 384 in 2-D
+        rand = random.Random(f"fused {dim}")
+        mats = SIGNED_PERMUTATIONS_1D if dim == 1 else SIGNED_PERMUTATIONS_2D
+        assert len(set(mats)) == (2 if dim == 1 else 8)
+        site = (3, -2)[:dim]
+        for mx, my in itertools.product(mats, repeat=2):
+            for trial in range(100 if dim == 1 else 6):
+                bilinear = dim == 2 and trial % 2 == 0
+                x = random_operator(dim, mx, rand, bilinear)
+                y = random_operator(dim, my, rand, bilinear)
+                assert x @ y == reference_matmul(x, y)
+                assert x.inverse() == reference_inverse(x)
+                assert (x @ y).site_map.apply(site) == reference_apply(
+                    reference_matmul(x, y).site_map, site)
+
+    def test_representation_words_match_reference(self):
+        rep = build_wavefunction(GOLDEN, 2)
+        gens = [rep.p1, rep.p2, rep.q1, rep.q2, rep.zeta, gauge_intertwiner(3)]
+        rand = random.Random(7)
+        for _ in range(200):
+            x, y = rand.choice(gens), rand.choice(gens)
+            for _ in range(rand.randint(0, 3)):
+                x, y = reference_matmul(x, rand.choice(gens)), reference_matmul(
+                    rand.choice(gens), y)
+            assert x @ y == reference_matmul(x, y)
+            assert x.inverse() == reference_inverse(x)
+
+    def test_out_of_class_bilinear_map_raises(self):
+        bilinear = BasisMapOperator(SiteMap.identity(2),
+                                    PhaseForm(IntForm.zero(2), 0, IntForm(0, (0, 0), 1)))
+        shear = BasisMapOperator(SiteMap(((1, 1), (0, 1)), (0, 0)), PhaseForm.zero(2))
+        with pytest.raises(ValueError):
+            reference_matmul(bilinear, shear)
+        with pytest.raises(ValueError):
+            bilinear @ shear

@@ -371,6 +371,40 @@ class TestAgainstReference:
         with pytest.raises(ValueError):
             ButterflyDataset.from_csv(path)
 
+    @pytest.mark.parametrize("flux", [(1, 0), (2, 4), (0, 2), (1, 1), (-1, 3)],
+                             ids=["zero-den", "unreduced", "zero-unreduced", "one",
+                                  "negative"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unreduced_flux_rows_raise(self, tmp_path, fmt, flux):
+        rows = [(0, 1, 0.5), (*flux, 0.25), (1, 2, -0.5)]
+        path = tmp_path / f"bad.{fmt}"
+        if fmt == "csv":
+            path.write_text("phi_num,phi_den,energy\n"
+                            + "".join(f"{n},{d},{e!r}\n" for n, d, e in rows))
+            reader = ButterflyDataset.from_csv
+        else:
+            path.write_text(json.dumps({"q_max": 4, "k_grid": 2, "points": [
+                {"phi": [n, d], "E": e} for n, d, e in rows]}))
+            reader = ButterflyDataset.from_json
+        with pytest.raises(ValueError, match=f"{flux[0]}/{flux[1]}|denominator"):
+            reader(path)
+
+    def test_nan_dataset_equals_itself_and_its_round_trips(self, tmp_path):
+        ds = ButterflyDataset(2, 4, [(0, 1, np.array([-1.0, np.nan, 0.0])),
+                                     (1, 2, np.array([np.nan, 2.0]))])
+        assert ds == ds
+        ds.to_csv(tmp_path / "nan.csv")
+        ds.to_json(tmp_path / "nan.json")
+        assert ButterflyDataset.from_csv(tmp_path / "nan.csv", 2, 4) == ds
+        assert ButterflyDataset.from_json(tmp_path / "nan.json") == ds
+        # 0.0 still matches -0.0, and other values still differ
+        signed = ButterflyDataset(2, 4, [(0, 1, np.array([-1.0, np.nan, -0.0])),
+                                         ds.entries[1]])
+        assert signed == ds
+        shifted = ButterflyDataset(2, 4, [(0, 1, np.array([-1.0, 1.0, 0.0])),
+                                          ds.entries[1]])
+        assert shifted != ds
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_files_match_the_reference_writers(self, tmp_path, capsys, fmt):
         # the README example size
