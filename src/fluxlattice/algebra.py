@@ -15,9 +15,7 @@ q1 -> q2 -> q1^-1.
 The algebra serves irrational flux only, where the commutator map is
 injective and an exact phase triple is already canonical; the invariance
 analysis refuses rational flux.  Coefficients are complex floats; phases
-stay exact.  Structural equality compares (exponents, phase) term keys
-exactly, while numeric equality evaluates phases at a concrete flux and
-merges like exponents.
+stay exact.  Equality compares (exponents, phase) term keys exactly.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ __all__ = [
 ]
 
 GENERATOR_NAMES = ("p1", "p2", "q1", "q2")
-
-NUMERIC_TOLERANCE = 1e-12
 
 
 class Monomial(NamedTuple):
@@ -128,12 +124,6 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.terms() + other.terms())
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement([(-c, m) for c, m in self.terms()])
-
     def __rmul__(self, coeff: complex) -> "AlgebraElement":
         if isinstance(coeff, (int, float, complex)):
             return AlgebraElement([(coeff * c, m) for c, m in self.terms()])
@@ -146,38 +136,10 @@ class AlgebraElement:
             return self.__rmul__(other)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "AlgebraElement":
-        if len(self._terms) != 1:
-            raise ValueError("powers are defined for single-monomial elements")
-        out = one()
-        base = self if n >= 0 else _monomial_inverse(self)
-        for _ in range(abs(n)):
-            out = multiply(out, base)
-        return out
-
     def phase_twisted(self, phase: ExactPhase) -> "AlgebraElement":
         """Multiply every term by a constant exact phase."""
         return AlgebraElement(
             [(c, Monomial(m.exponents, phase * m.phase)) for c, m in self.terms()])
-
-    def numeric_equals(self, other: "AlgebraElement", flux: Flux,
-                       phi: float = 0.0, tol: float = NUMERIC_TOLERANCE) -> bool:
-        """Equality with phases evaluated at (theta, phi) and like exponents
-        merged, within `tol` per coefficient."""
-        def collapse(el: AlgebraElement) -> dict[tuple[int, int, int, int], complex]:
-            out: dict[tuple[int, int, int, int], complex] = {}
-            for c, m in el.terms():
-                value = c * m.phase.evaluate(flux.theta, phi)
-                out[m.exponents] = out.get(m.exponents, 0.0) + value
-            return out
-        lhs, rhs = collapse(self), collapse(other)
-        for key in lhs.keys() | rhs.keys():
-            if abs(lhs.get(key, 0.0) - rhs.get(key, 0.0)) > tol:
-                return False
-        return True
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __str__(self) -> str:
         if not self._terms:
@@ -198,13 +160,6 @@ def _fmt_coeff(c: complex) -> str:
         return str(int(v)) if v == int(v) else repr(v)
     sign = "+" if c.imag >= 0 else "-"
     return f"({num(c.real)}{sign}{num(abs(c.imag))}i)"
-
-
-def _monomial_inverse(x: AlgebraElement) -> AlgebraElement:
-    """Inverse of a single unimodular monomial (coefficient inverted too)."""
-    ((coeff, mono),) = x.terms()
-    inv = _mono_adjoint(mono)
-    return AlgebraElement([(1.0 / coeff, inv)])
 
 
 def generator(name: str, power: int = 1) -> AlgebraElement:

@@ -11,8 +11,9 @@ interior block with both mode indices <= n_max - 2.
 
 Every operator is A⊗I (momentum mode), I⊗B (velocity mode) or a sum of the
 two, so only the n_max x n_max single-mode factors are stored and every
-check runs on them in O(n_max^3).  The n_max^2-dimensional matrices are
-assembled with np.kron only when one is read, and cached.
+check runs on them in O(n_max^3).  The one n_max^2-dimensional matrix the
+class offers, the Hamiltonian `ham`, is assembled with np.kron only when
+read, and cached.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class LandauOperators:
     """Truncated two-mode operators, stored as single-mode factors.
 
     With I the n_max x n_max identity, P1 = x⊗I, P2 = y⊗I, Q1 = I⊗x,
-    Q2 = -I⊗y and H = I⊗ham_mode, where y carries the sign of r.  The
-    full-space matrices p1, p2, q1, q2, ham and ang are assembled on first
-    access and cached; the checks in this module never read them.
+    Q2 = -I⊗y, L = I⊗S - S⊗I and H = I⊗ham_mode, where y carries the sign
+    of r.  Only the full-space Hamiltonian `ham` is offered assembled; the
+    checks in this module never read it.
     """
 
     r: float
@@ -75,45 +76,11 @@ class LandauOperators:
         """S = (x^2 + y^2)/(2r), so that L = I⊗S - S⊗I."""
         return (self.x @ self.x + self.y @ self.y) / (2.0 * self.r)
 
-    def _kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = self.n_max
-        require_allocation(n**4 * 16, f"a full-space Landau matrix at n_max={n}")
-        return np.kron(a, b)
-
-    def _on_momentum(self, a: np.ndarray) -> np.ndarray:
-        return self._kron(a, np.eye(self.n_max))
-
-    def _on_velocity(self, b: np.ndarray) -> np.ndarray:
-        return self._kron(np.eye(self.n_max), b)
-
-    @cached_property
-    def p1(self) -> np.ndarray:
-        return self._on_momentum(self.x)
-
-    @cached_property
-    def p2(self) -> np.ndarray:
-        return self._on_momentum(self.y)
-
-    @cached_property
-    def q1(self) -> np.ndarray:
-        return self._on_velocity(self.x)
-
-    @cached_property
-    def q2(self) -> np.ndarray:
-        return self._on_velocity(-self.y)
-
     @cached_property
     def ham(self) -> np.ndarray:
-        return self._on_velocity(self.ham_mode)
-
-    @cached_property
-    def ang(self) -> np.ndarray:
-        s = self.ang_mode
-        return self._on_velocity(s) - self._on_momentum(s)
-
-    def interior_mask(self) -> np.ndarray:
-        keep = np.arange(self.n_max) <= self.n_max - 2
-        return np.kron(keep, keep).astype(bool)
+        n = self.n_max
+        require_allocation(n**4 * 16, f"the full-space Landau Hamiltonian at n_max={n}")
+        return np.kron(np.eye(n), self.ham_mode)
 
 
 def _interior_norm(factor: np.ndarray) -> float:

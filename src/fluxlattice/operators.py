@@ -202,9 +202,6 @@ class SiteMap:
         shift = tuple(-sum(m * t for m, t in zip(row, self.shift)) for row in inv)
         return SiteMap(inv, shift)
 
-    def is_identity(self) -> bool:
-        return self == SiteMap.identity(self.dim)
-
 
 @dataclass(frozen=True)
 class BasisMapOperator:
@@ -437,6 +434,8 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
     tried only when p1 commutes.
     """
     flux.require_irrational("the commutant scan")
+    if max_exp < 0:
+        raise ValueError("max_exp must be nonnegative")
     rep = build_wavefunction(flux)
     exponent_range = range(-max_exp, max_exp + 1)
     p1s, p2s, q1s, q2s = (

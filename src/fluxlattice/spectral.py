@@ -204,7 +204,15 @@ _ROWS_PER_WRITE = 256
 def _json_point(obj: dict):
     """json.load hook: each point object becomes its (nu, q, energy) row as
     it is parsed, so the reader never holds a dict and a list per point."""
-    return (*obj["phi"], float(obj["E"])) if "E" in obj else obj
+    if "phi" not in obj:
+        return obj
+    try:
+        (num, den), energy = obj["phi"], float(obj["E"])
+        if type(num) is int and type(den) is int:
+            return num, den, energy
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"malformed butterfly point {obj!r}")
 
 
 @dataclass
@@ -285,12 +293,16 @@ class ButterflyDataset:
     @classmethod
     def from_json(cls, path: str | Path) -> "ButterflyDataset":
         """Read what `to_json` writes; points of a flux may be interleaved
-        with others."""
+        with others.  A malformed document or point raises ValueError."""
         with open(path) as fh:
             doc = json.load(fh, object_hook=_json_point)
-        points = doc["points"]
-        rows = np.fromiter(points, dtype=_ROW, count=len(points))
-        return cls(doc["q_max"], doc["k_grid"], _group_by_flux(rows))
+        try:
+            points, q_max, k_grid = doc["points"], doc["q_max"], doc["k_grid"]
+            rows = np.fromiter(points, dtype=_ROW, count=len(points))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("malformed butterfly JSON: expected {q_max, k_grid, "
+                             "points: [{phi: [nu, q], E}, ...]}") from None
+        return cls(q_max, k_grid, _group_by_flux(rows))
 
     def symmetry_report(self, tol: float = 1e-9) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries."""
@@ -298,7 +310,10 @@ class ButterflyDataset:
         flux_dev = 0.0
         energy_dev = 0.0
         for (n, d), samples in table.items():
-            partner = table[((d - n) % d, d)]
+            partner = table.get(((d - n) % d, d))
+            if partner is None or partner.size != samples.size:
+                raise ValueError(f"flux {n}/{d}: its reflection {(d - n) % d}/{d} "
+                                 "is missing or has another sample count")
             flux_dev = max(flux_dev, float(np.max(np.abs(samples - partner))))
             energy_dev = max(energy_dev, float(np.max(np.abs(samples + samples[::-1]))))
         return {

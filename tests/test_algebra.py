@@ -347,17 +347,3 @@ class TestRendering:
         assert str(ExactPhase(3, 1, 2)) == "e^{i(3θ/2+π+φ)}"
         assert str(ExactPhase(0, 0, 0)) == "1"
 
-
-class TestNumericEquality:
-    def test_phase_collapse(self):
-        # e^{i*th} q1 and its numeric coefficient agree at a concrete flux
-        sym = AlgebraElement([(1.0, Monomial((0, 0, 1, 0), ExactPhase(2, 0, 0)))])
-        val = np.exp(1j * GOLDEN.theta)
-        num = AlgebraElement([(val, Monomial((0, 0, 1, 0), ExactPhase.identity()))])
-        assert sym != num
-        assert sym.numeric_equals(num, GOLDEN)
-
-    def test_detects_difference(self):
-        a = mono(0, 0, 1, 0)
-        b = mono(0, 0, 1, 0, coeff=1.0 + 1e-6)
-        assert not a.numeric_equals(b, GOLDEN)

@@ -17,8 +17,10 @@ from fluxlattice.landau import (
 )
 
 
-def interior_residual(ops, mat):
-    mask = ops.interior_mask()
+def interior_residual(n_max, mat):
+    """Norm of mat on the block where both mode indices are <= n_max - 2."""
+    keep = np.arange(n_max) <= n_max - 2
+    mask = np.kron(keep, keep).astype(bool)
     return float(np.linalg.norm(mat[np.ix_(mask, mask)]))
 
 
@@ -48,15 +50,19 @@ class TestBuild:
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 10**4 * 16 - 1)
         ops = build_landau(1.0, 1.0, 10)
         assert bracket_report(ops).all_pass
-        for name in ("p1", "p2", "q1", "q2", "ham", "ang"):
-            with pytest.raises(ValueError, match="allocation budget"):
-                getattr(ops, name)
+        with pytest.raises(ValueError, match="allocation budget"):
+            ops.ham
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 10**4 * 16)
-        assert ops.ham.shape == (100, 100)
+        assert np.array_equal(ops.ham, np.kron(np.eye(10), ops.ham_mode))
+
+    def test_hamiltonian_is_the_only_full_space_matrix(self):
+        ops = build_landau(1.0, 1.0, 8)
+        for name in ("p1", "p2", "q1", "q2", "ang", "interior_mask"):
+            assert not hasattr(ops, name), name
 
     def test_hermitian_generators(self):
         ops = build_landau(1.5, 2.0, 12)
-        for mat in (ops.p1, ops.p2, ops.q1, ops.q2, ops.ham, ops.ang):
+        for mat in (ops.x, ops.y, ops.ham_mode, ops.ang_mode, ops.ham):
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
     def test_brackets_at_random_parameters(self):
@@ -70,17 +76,17 @@ class TestBuild:
     def test_sign_flip_swaps_commutators(self):
         # [P1,P2] - ir and [Q1,Q2] + ir vanish for either sign of r
         for r in (1.0, -1.0):
-            ops = build_landau(r, 1.0, 12)
+            op = direct_operators(r, 1.0, 12)
             eye = np.eye(144)
-            comm_p = ops.p1 @ ops.p2 - ops.p2 @ ops.p1
-            comm_q = ops.q1 @ ops.q2 - ops.q2 @ ops.q1
-            assert interior_residual(ops, comm_p - 1j * r * eye) < BRACKET_TOLERANCE
-            assert interior_residual(ops, comm_q + 1j * r * eye) < BRACKET_TOLERANCE
+            comm_p = op["p1"] @ op["p2"] - op["p2"] @ op["p1"]
+            comm_q = op["q1"] @ op["q2"] - op["q2"] @ op["q1"]
+            assert interior_residual(12, comm_p - 1j * r * eye) < BRACKET_TOLERANCE
+            assert interior_residual(12, comm_q + 1j * r * eye) < BRACKET_TOLERANCE
 
     def test_rotation_bracket(self):
-        ops = build_landau(1.0, 1.0, 20)
-        resid = ops.ang @ ops.p1 - ops.p1 @ ops.ang - 1j * ops.p2
-        assert interior_residual(ops, resid) < BRACKET_TOLERANCE
+        op = direct_operators(1.0, 1.0, 20)
+        resid = op["ang"] @ op["p1"] - op["p1"] @ op["ang"] - 1j * op["p2"]
+        assert interior_residual(20, resid) < BRACKET_TOLERANCE
 
     def test_determined_scalar(self):
         assert build_landau(1.0, 1.0, 8).s == 0.5
@@ -143,16 +149,16 @@ class TestMotion:
         assert report.all_pass, report.to_text()
 
     def test_wrong_sign_is_large(self):
-        ops = build_landau(1.0, 1.0, 20)
-        wrong = 1j * (ops.ham @ ops.q1 - ops.q1 @ ops.ham) - (ops.r / ops.mass) * ops.q2
-        assert interior_residual(ops, wrong) > 1.0  # order r/m, not small
+        op = direct_operators(1.0, 1.0, 20)
+        wrong = 1j * (op["ham"] @ op["q1"] - op["q1"] @ op["ham"]) - op["q2"]
+        assert interior_residual(20, wrong) > 1.0  # order r/m, not small
 
     def test_conservation(self):
-        ops = build_landau(0.7, 1.3, 20)
-        comm_p = ops.ham @ ops.p1 - ops.p1 @ ops.ham
-        comm_l = ops.ham @ ops.ang - ops.ang @ ops.ham
-        assert interior_residual(ops, comm_p) < LORENTZ_TOLERANCE
-        assert interior_residual(ops, comm_l) < LORENTZ_TOLERANCE
+        op = direct_operators(0.7, 1.3, 20)
+        comm_p = op["ham"] @ op["p1"] - op["p1"] @ op["ham"]
+        comm_l = op["ham"] @ op["ang"] - op["ang"] @ op["ham"]
+        assert interior_residual(20, comm_p) < LORENTZ_TOLERANCE
+        assert interior_residual(20, comm_l) < LORENTZ_TOLERANCE
 
     def test_report_shape_matches_relation_report(self):
         report = lorentz_check(build_landau(1.0, 1.0, 12))
@@ -164,13 +170,12 @@ class TestMotion:
 
 class TestTruncationTrend:
     def test_residuals_stay_below_tolerance_as_truncation_grows(self):
-        for n_max in (10, 20, 30, 40):
+        # every relation on the factors; TestFactorCrossCheck ties them to
+        # the assembled space
+        for n_max in (10, 20, 40, 80, 160):
             ops = build_landau(1.0, 1.0, n_max)
-            eye = np.eye(n_max * n_max)
-            comm_p = ops.p1 @ ops.p2 - ops.p2 @ ops.p1 - 1j * eye
-            assert interior_residual(ops, comm_p) < BRACKET_TOLERANCE
-            lorentz = 1j * (ops.ham @ ops.q1 - ops.q1 @ ops.ham) + ops.q2
-            assert interior_residual(ops, lorentz) < LORENTZ_TOLERANCE
+            assert bracket_report(ops).all_pass, n_max
+            assert lorentz_check(ops).all_pass, n_max
 
 
 def direct_operators(r, m, n_max):
@@ -188,9 +193,22 @@ def direct_operators(r, m, n_max):
     return {"p1": p1, "p2": p2, "q1": q1, "q2": q2, "ham": ham, "ang": ang}
 
 
+def assembled(ops):
+    """The full-space matrices of the stored factors, as LandauOperators
+    defines them: P1 = x⊗I, P2 = y⊗I, Q1 = I⊗x, Q2 = -I⊗y, H = I⊗ham_mode
+    and L = I⊗S - S⊗I with S = (x^2 + y^2)/(2r)."""
+    eye = np.eye(ops.n_max)
+    s = (ops.x @ ops.x + ops.y @ ops.y) / (2.0 * ops.r)
+    return {"p1": np.kron(ops.x, eye), "p2": np.kron(ops.y, eye),
+            "q1": np.kron(eye, ops.x), "q2": np.kron(eye, -ops.y),
+            "ham": np.kron(eye, ops.ham_mode),
+            "ang": np.kron(eye, s) - np.kron(s, eye)}
+
+
 def full_space_residuals(ops):
     """Every residual the reports give, from the assembled matrices."""
-    p1, p2, q1, q2, ham, ang = ops.p1, ops.p2, ops.q1, ops.q2, ops.ham, ops.ang
+    op = assembled(ops)
+    p1, p2, q1, q2, ham, ang = (op[k] for k in ("p1", "p2", "q1", "q2", "ham", "ang"))
     eye = np.eye(ops.n_max**2)
     r, rm = ops.r, ops.r / ops.mass
 
@@ -216,7 +234,7 @@ def full_space_residuals(ops):
         "conserved_p2": comm(ham, p2),
         "conserved_angular_momentum": comm(ham, ang),
     }
-    return {name: interior_residual(ops, mat) for name, mat in mats.items()}
+    return {name: interior_residual(ops.n_max, mat) for name, mat in mats.items()}
 
 
 def factor_residuals(ops):
@@ -232,10 +250,11 @@ class TestFactorCrossCheck:
     @pytest.mark.parametrize("r,m", CROSS_CHECK_PARAMS)
     def test_matches_full_space(self, n_max, r, m):
         ops = build_landau(r, m, n_max)
-        direct = direct_operators(r, m, n_max)
+        direct, full_ops = direct_operators(r, m, n_max), assembled(ops)
         for name in ("p1", "p2", "q1", "q2", "ham"):
-            assert np.array_equal(getattr(ops, name), direct[name]), name
-        assert np.max(np.abs(ops.ang - direct["ang"])) < 1e-12
+            assert np.array_equal(full_ops[name], direct[name]), name
+        assert np.array_equal(ops.ham, direct["ham"])
+        assert np.max(np.abs(full_ops["ang"] - direct["ang"])) < 1e-12
 
         factor = factor_residuals(ops)
         full = full_space_residuals(ops)
@@ -276,5 +295,5 @@ class TestLargeTruncation:
         assert bracket_report(ops).all_pass
         assert lorentz_check(ops).all_pass
         assert level_degeneracies(ops, 4) == [200] * 4
-        assembled = {"p1", "p2", "q1", "q2", "ham", "ang"} & set(vars(ops))
-        assert not assembled
+        assert "ham" not in vars(ops)
+        assert all(np.size(value) <= 200 * 200 for value in vars(ops).values())

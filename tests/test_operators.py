@@ -247,6 +247,14 @@ class TestCommutant:
         with pytest.raises(RationalFluxError):
             commutant_monomial_check(Flux.rational(1, 3), 2)
 
+    def test_negative_max_exp_rejected(self):
+        with pytest.raises(ValueError, match="max_exp"):
+            commutant_monomial_check(GOLDEN, -1)
+        report = commutant_monomial_check(GOLDEN, 0)
+        assert report.passed
+        assert report.commutant_exponents == [(0, 0, 0, 0)]
+        assert report.violations == []
+
     @pytest.mark.parametrize("max_exp", [2, 3])
     @pytest.mark.parametrize("flux", [GOLDEN, Flux.sqrt2()], ids=str)
     def test_hoisted_scan_matches_per_word_scan(self, flux, max_exp):

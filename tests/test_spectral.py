@@ -152,6 +152,19 @@ class TestButterfly:
         assert report["flux_reflection_deviation"] < 1e-9
         assert report["energy_negation_deviation"] < 1e-9
 
+    def test_symmetry_report_names_a_missing_reflection(self):
+        # as read from a partial file
+        ds = butterfly(3, 4)
+        partial = ButterflyDataset(3, 4, [e for e in ds.entries if e[:2] != (2, 3)])
+        with pytest.raises(ValueError, match="flux 1/3: its reflection 2/3"):
+            partial.symmetry_report()
+
+    def test_symmetry_report_names_a_sample_count_mismatch(self):
+        ds = butterfly(3, 4)
+        short = [(n, d, s[:-1] if (n, d) == (2, 3) else s) for n, d, s in ds.entries]
+        with pytest.raises(ValueError, match="flux 1/3: its reflection 2/3"):
+            ButterflyDataset(3, 4, short).symmetry_report()
+
     def test_deterministic(self):
         assert butterfly(5, 8) == butterfly(5, 8)
 
@@ -370,6 +383,19 @@ class TestAgainstReference:
             reference_from_csv(path)
         with pytest.raises(ValueError):
             ButterflyDataset.from_csv(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"q_max": 2, "k_grid": 2, "points": [{"phi": [1.7, 2], "E": 1.0}]},
+        {"q_max": 2, "k_grid": 2, "points": [{"phi": [1, 2]}]},
+        {"q_max": 2, "k_grid": 2, "points": [{"phi": [1, 2, 3], "E": 1.0}]},
+        {"q_max": 2, "k_grid": 2},
+        [{"phi": [1, 2], "E": 1.0}],
+    ], ids=["float-numerator", "no-energy", "long-phi", "no-points", "top-level-list"])
+    def test_malformed_json_raises(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="butterfly"):
+            ButterflyDataset.from_json(path)
 
     @pytest.mark.parametrize("flux", [(1, 0), (2, 4), (0, 2), (1, 1), (-1, 3)],
                              ids=["zero-den", "unreduced", "zero-unreduced", "one",
