@@ -246,10 +246,15 @@ class BasisMapOperator:
 
     def equals(self, other: "BasisMapOperator", flux: Flux | None = None) -> bool:
         """Operator identity, exact, with phases compared modulo the flux
-        kernel when a rational flux is given."""
+        kernel when a rational flux is given.  Without a rational flux the
+        phases agree iff their theta and gauge forms are equal and their pi
+        terms agree mod 2, so no form is built."""
         if self.site_map != other.site_map:
             return False
-        return (self.phase_form + (-other.phase_form)).is_identity(flux)
+        x, y = self.phase_form, other.phase_form
+        if flux is None or not flux.is_rational:
+            return x.a == y.a and x.c == y.c and (x.b - y.b) % 2 == 0
+        return (x + (-y)).is_identity(flux)
 
     def is_identity(self, flux: Flux | None = None) -> bool:
         return self.equals(BasisMapOperator.identity(self.dim), flux)

@@ -7,6 +7,13 @@ e^{-+ i q k1} closing the cycle.  The matrix depends on k1 only through
 e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q; the sweep
 solves one representative per residue class of the uniform grid and
 replicates, which never changes the reported samples.
+
+The allocation guard sizes a request by its whole Bloch stack (k-points x
+q^2 complex entries), but the solve never holds that much at once: it
+builds and solves the stack in chunks of _STACK_CHUNK_BYTES (one matrix
+when a single one is larger).  Each matrix goes through the same LAPACK
+call as in one batched call, so chunking leaves the eigenvalues
+bit-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +53,14 @@ def require_allocation(nbytes: int, what: str) -> None:
                          f"{ALLOCATION_BUDGET_BYTES} byte allocation budget")
 
 
+# Bloch matrices built and solved at once; a larger stack is solved in chunks.
+_STACK_CHUNK_BYTES = 1 << 22
+
+
 def _require_bloch_stack(den: int, k_grid: int) -> None:
+    """Refuse a request whose whole Bloch stack, one q x q complex matrix
+    per solved k-point, would exceed the budget.  This sizes the request,
+    not the memory held: the solve builds the stack in bounded chunks."""
     nbytes = (k_grid // math.gcd(den, k_grid)) * k_grid * den * den * 16
     require_allocation(nbytes, f"the Bloch stack at q={den}, k_grid={k_grid}")
 
@@ -138,13 +152,21 @@ def _merge_bands(band_ranges: list[tuple[float, float]]) -> tuple[tuple[float, f
 
 def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     """Eigenvalues over one k1 representative per residue class, and the
-    replication factor gcd(q, k_grid)."""
+    replication factor gcd(q, k_grid).  The (k1, k2) points are solved in
+    order, _STACK_CHUNK_BYTES of matrices at a time, into one (n_k, q)
+    array."""
     ks = TWO_PI * np.arange(k_grid) / k_grid
     g = math.gcd(den, k_grid)
     k1_reps = ks[: k_grid // g]
     kk1, kk2 = np.meshgrid(k1_reps, ks, indexing="ij")
-    mats = _bloch_stack(num, den, kk1.ravel(), kk2.ravel())
-    return np.linalg.eigvalsh(mats), g
+    k1, k2 = kk1.ravel(), kk2.ravel()
+    step = max(1, _STACK_CHUNK_BYTES // (16 * den * den))
+    eigs = np.empty((k1.size, den))
+    for lo in range(0, k1.size, step):
+        # no name holds a chunk, so it is freed before the next one is built
+        eigs[lo:lo + step] = np.linalg.eigvalsh(
+            _bloch_stack(num, den, k1[lo:lo + step], k2[lo:lo + step]))
+    return eigs, g
 
 
 def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
@@ -298,8 +320,12 @@ class ButterflyDataset:
             doc = json.load(fh, object_hook=_json_point)
         try:
             points, q_max, k_grid = doc["points"], doc["q_max"], doc["k_grid"]
+            # np.fromiter would broadcast a bare number to a whole row
+            odd = [point for point in points if type(point) is not tuple]
+            if odd:
+                raise ValueError(f"malformed butterfly point {odd[0]!r}")
             rows = np.fromiter(points, dtype=_ROW, count=len(points))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, OverflowError):
             raise ValueError("malformed butterfly JSON: expected {q_max, k_grid, "
                              "points: [{phi: [nu, q], E}, ...]}") from None
         return cls(q_max, k_grid, _group_by_flux(rows))

@@ -578,3 +578,66 @@ class TestFusedComposition:
             reference_matmul(bilinear, shear)
         with pytest.raises(ValueError):
             bilinear @ shear
+
+
+def reference_equals(x, y, flux):
+    """Reference: operator identity through the summed phase form, as
+    BasisMapOperator.equals decided it at every flux before."""
+    return (x.site_map == y.site_map
+            and (x.phase_form + (-y.phase_form)).is_identity(flux))
+
+
+class TestEqualsAgainstReference:
+    FLUXES = TestPhaseFormIdentity.FLUXES
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=str)
+    def test_random_operators(self, flux):
+        # y is x times a random phase form, which is often trivial at this
+        # flux, and sometimes moved to another site map
+        rand = random.Random(f"equals {flux}")
+        den = flux.denominator if flux is not None and flux.is_rational else 0
+        verdicts = []
+        for _ in range(300):
+            dim = rand.choice((1, 2))
+            mats = SIGNED_PERMUTATIONS_1D if dim == 1 else SIGNED_PERMUTATIONS_2D
+            x = random_operator(dim, rand.choice(mats), rand, dim == 2)
+            y = BasisMapOperator(x.site_map,
+                                 x.phase_form + random_phase_form(dim, den, rand))
+            if rand.random() < 0.2:
+                y = BasisMapOperator(SiteMap(rand.choice(mats), x.site_map.shift),
+                                     y.phase_form)
+            if rand.random() < 0.3:
+                # a pi term outside {0, 1} is the same phase
+                y = dataclasses.replace(y, phase_form=dataclasses.replace(
+                    y.phase_form, b=y.phase_form.b + rand.choice((-2, 2, 4))))
+            for a, b in ((x, y), (y, x), (x, x)):
+                expected = reference_equals(a, b, flux)
+                assert a.equals(b, flux) == expected, (a, b)
+                verdicts.append(expected)
+        assert verdicts.count(True) > 300 and verdicts.count(False) > 0
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=str)
+    def test_random_words(self, flux):
+        # words in the plane generators against each other and against a
+        # rewrite that inserts g g^-1 or a power of the p1, p2 commutator
+        rep = build_wavefunction(GOLDEN if flux is None else flux, 1)
+        gens = [rep.p1, rep.p2, rep.q1, rep.q2, rep.zeta, gauge_intertwiner(2)]
+        gens += [g.inverse() for g in gens]
+        rand = random.Random(f"words {flux}")
+        words = []
+        for _ in range(40):
+            word = BasisMapOperator.identity(2)
+            for _ in range(rand.randint(0, 4)):
+                word = word @ rand.choice(gens)
+            words.append(word)
+        twist = commutator(rep.p1, rep.p2) ** rand.randint(1, 9)
+        pairs = [(w, w @ g @ g.inverse()) for w, g in zip(words, gens * 4)]
+        pairs += [(w, twist @ w) for w in words]
+        pairs += itertools.combinations(words, 2)
+        verdicts = []
+        for x, y in pairs:
+            expected = reference_equals(x, y, flux)
+            assert x.equals(y, flux) == expected == reference_equals(y, x, flux)
+            assert y.equals(x, flux) == expected
+            verdicts.append(expected)
+        assert verdicts.count(True) >= len(words) and verdicts.count(False) > 0

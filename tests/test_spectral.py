@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from fluxlattice import spectral
 from fluxlattice.cli import main
-from fluxlattice.phases import Flux, RationalFluxError
+from fluxlattice.phases import TWO_PI, Flux, RationalFluxError
 from fluxlattice.spectral import (
     ButterflyDataset,
     approximant_spectra,
@@ -397,6 +398,21 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="butterfly"):
             ButterflyDataset.from_json(path)
 
+    @pytest.mark.parametrize("point", [5, 0, 0.5, True, "abc"])
+    def test_bare_json_point_raises(self, tmp_path, point):
+        # np.fromiter would broadcast a bare number to the row (5, 5, 5.0)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"q_max": 2, "k_grid": 2, "points": [point]}))
+        with pytest.raises(ValueError, match="malformed butterfly point"):
+            ButterflyDataset.from_json(path)
+
+    def test_json_flux_past_int64_raises(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"q_max": 2, "k_grid": 2,
+                                    "points": [{"phi": [1, 2**64], "E": 0.5}]}))
+        with pytest.raises(ValueError, match="malformed butterfly"):
+            ButterflyDataset.from_json(path)
+
     @pytest.mark.parametrize("flux", [(1, 0), (2, 4), (0, 2), (1, 1), (-1, 3)],
                              ids=["zero-den", "unreduced", "zero-unreduced", "one",
                                   "negative"])
@@ -489,6 +505,63 @@ class TestAllocationBudget:
         with pytest.raises(ValueError, match=r"up to q=118 at k_grid=20"):
             butterfly(10**9, 20)
         assert listed == []
+
+
+def reference_solve_reduced(num, den, k_grid):
+    """Reference: the whole Bloch stack of the reduced grid in one eigvalsh
+    call, as the solve was first written."""
+    ks = TWO_PI * np.arange(k_grid) / k_grid
+    g = math.gcd(den, k_grid)
+    kk1, kk2 = np.meshgrid(ks[: k_grid // g], ks, indexing="ij")
+    return np.linalg.eigvalsh(spectral._bloch_stack(num, den, kk1.ravel(), kk2.ravel())), g
+
+
+def count_eigvalsh(monkeypatch):
+    """Record the shape of every np.linalg.eigvalsh argument."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    return shapes
+
+
+class TestChunkedSolve:
+    @pytest.mark.parametrize("k_grid", [7, 8, 12, 16])
+    @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (2, 5), (3, 8), (8, 13), (21, 34)])
+    def test_bit_identical_to_the_whole_stack(self, monkeypatch, nu, q, k_grid):
+        flux = Flux.rational(nu, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_solve_reduced", reference_solve_reduced)
+            ref = spectrum(flux, k_grid)
+        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+        # one matrix per chunk, then the fewest per chunk that leave a short
+        # last chunk
+        short = next(c for c in range(2, n_k) if n_k % c)
+        for per_chunk in (1, short):
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_STACK_CHUNK_BYTES", per_chunk * 16 * q * q)
+                shapes = count_eigvalsh(patch)
+                est = spectrum(flux, k_grid)
+            assert [s[0] for s in shapes] == [per_chunk] * (n_k // per_chunk) + (
+                [n_k % per_chunk] if n_k % per_chunk else [])
+            assert np.array_equal(est.samples, ref.samples)
+            assert est.bands == ref.bands
+
+    def test_large_stack_is_never_held_whole(self):
+        # the q = 169 stack at k_grid 12 is 144 matrices, 66 MB; one chunk is
+        # 9 of them, 4.1 MB
+        tracemalloc.start()
+        try:
+            spectrum(Flux.rational(70, 169), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_small_stacks_are_one_call(self, monkeypatch):
+        shapes = count_eigvalsh(monkeypatch)
+        butterfly(3, 6)
+        # 0/1, 1/3, 1/2 and 2/3, each over its whole reduced grid
+        assert shapes == [(36, 1, 1), (12, 3, 3), (18, 2, 2), (12, 3, 3)]
 
 
 class TestHausdorff:
