@@ -172,7 +172,7 @@ class Flux:
         if denominator == 0:
             raise ValueError("flux denominator must be nonzero")
         fr = Fraction(numerator, denominator) % 1
-        return cls(fraction=fr, value=float(fr), cf_terms=_cf_terms_of_fraction(fr))
+        return cls(fraction=fr, value=float(fr))
 
     @classmethod
     def irrational(cls, value: float) -> "Flux":

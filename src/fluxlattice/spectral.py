@@ -8,19 +8,19 @@ e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q; the sweep
 solves one representative per residue class of the uniform grid and
 replicates, which never changes the reported samples.
 
-The allocation guard sizes a request by its whole Bloch stack (k-points x
-q^2 complex entries), but the solve never holds that much at once: it
-builds and solves the stack in chunks of _STACK_CHUNK_BYTES (one matrix
-when a single one is larger).  Each matrix goes through the same LAPACK
-call as in one batched call, so chunking leaves the eigenvalues
-bit-identical.
+Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
+one) through the same LAPACK call as one batched call, so the eigenvalues
+are bit-identical.  One rule sizes every request before its first solve:
+the samples of every flux it returns stay held, plus the largest transient
+of one flux solve (sample copies, k-points, eigenvalues and one chunk).
+The budget bounds memory, not run time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,12 +42,12 @@ __all__ = [
 ]
 
 
-# Largest array one request may allocate; requests are sized before building.
+# Most memory one request may hold.
 ALLOCATION_BUDGET_BYTES = 1 << 30
 
 
 def require_allocation(nbytes: int, what: str) -> None:
-    """Refuse a request whose largest array would exceed the budget."""
+    """Refuse a request that would hold more than the budget."""
     if nbytes > ALLOCATION_BUDGET_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the "
                          f"{ALLOCATION_BUDGET_BYTES} byte allocation budget")
@@ -57,22 +57,24 @@ def require_allocation(nbytes: int, what: str) -> None:
 _STACK_CHUNK_BYTES = 1 << 22
 
 
-def _require_bloch_stack(den: int, k_grid: int) -> None:
-    """Refuse a request whose whole Bloch stack, one q x q complex matrix
-    per solved k-point, would exceed the budget.  This sizes the request,
-    not the memory held: the solve builds the stack in bounded chunks."""
-    nbytes = (k_grid // math.gcd(den, k_grid)) * k_grid * den * den * 16
-    require_allocation(nbytes, f"the Bloch stack at q={den}, k_grid={k_grid}")
+def _chunk_length(den: int) -> int:
+    """Bloch matrices per solved chunk at denominator den, at least one."""
+    return max(1, _STACK_CHUNK_BYTES // (16 * den * den))
 
 
-def _require_sweep(q_max: int, k_grid: int) -> None:
-    """Size the samples of a whole butterfly sweep before it starts: each
-    reduced nu/q holds q * k_grid^2 floats.  Counting stops at the first q
-    over budget, so a huge q_max is refused without listing its fluxes."""
-    floats = 0
-    for q in range(1, q_max + 1):
-        floats += q * k_grid * k_grid * sum(math.gcd(nu, q) == 1 for nu in range(q))
-        require_allocation(8 * floats, f"the butterfly samples up to q={q} at k_grid={k_grid}")
+def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
+    """Refuse, at the first q over budget, a request that solves one flux per
+    denominator in `dens`, so a lazy sweep is never listed whole.  Each flux
+    holds its samples, 128 bytes a band and 512 of Python objects; a solve's
+    transient adds 16 KiB of small arrays and its chunk's per-row temporaries."""
+    held = transient = 0
+    for q in dens:
+        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+        chunk = min(n_k, _chunk_length(q))
+        held += 8 * q * k_grid * k_grid + 128 * q + 512
+        transient = max(transient, 16 * q * k_grid * k_grid + n_k * (16 + 8 * q)
+                        + (1 << 14) + chunk * (16 * q * q + 24 * q + 64))
+        require_allocation(held + transient, f"{what} through q={q}, k_grid={k_grid}")
 
 
 def _validate_k_grid(k_grid: int) -> None:
@@ -160,7 +162,7 @@ def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     k1_reps = ks[: k_grid // g]
     kk1, kk2 = np.meshgrid(k1_reps, ks, indexing="ij")
     k1, k2 = kk1.ravel(), kk2.ravel()
-    step = max(1, _STACK_CHUNK_BYTES // (16 * den * den))
+    step = _chunk_length(den)
     eigs = np.empty((k1.size, den))
     for lo in range(0, k1.size, step):
         # no name holds a chunk, so it is freed before the next one is built
@@ -176,7 +178,7 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
                          "for an irrational one")
     _validate_k_grid(k_grid)
     num, den = flux.numerator, flux.denominator
-    _require_bloch_stack(den, k_grid)
+    _require_held([den], k_grid, "the spectrum")
     eigs, g = _solve_reduced(num, den, k_grid)
     bands = _merge_bands([(float(eigs[:, m].min()), float(eigs[:, m].max()))
                           for m in range(den)])
@@ -188,12 +190,8 @@ def flux_values(q_max: int) -> list[Fraction]:
     """All reduced fractions nu/q in [0, 1) with q <= q_max, ascending."""
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
-    out = {Fraction(0, 1)}
-    for q in range(2, q_max + 1):
-        for nu in range(1, q):
-            if math.gcd(nu, q) == 1:
-                out.add(Fraction(nu, q))
-    return sorted(out)
+    return sorted(Fraction(nu, q) for q in range(1, q_max + 1) for nu in range(q)
+                  if math.gcd(nu, q) == 1)
 
 
 _ROW = np.dtype([("num", np.int64), ("den", np.int64), ("energy", np.float64)])
@@ -229,10 +227,10 @@ def _json_point(obj: dict):
     if "phi" not in obj:
         return obj
     try:
-        (num, den), energy = obj["phi"], float(obj["E"])
-        if type(num) is int and type(den) is int:
-            return num, den, energy
-    except (KeyError, TypeError, ValueError):
+        (num, den), energy = obj["phi"], obj["E"]
+        if type(num) is int and type(den) is int and type(energy) in (int, float):
+            return num, den, float(energy)
+    except (KeyError, TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"malformed butterfly point {obj!r}")
 
@@ -320,6 +318,8 @@ class ButterflyDataset:
             doc = json.load(fh, object_hook=_json_point)
         try:
             points, q_max, k_grid = doc["points"], doc["q_max"], doc["k_grid"]
+            if type(q_max) is not int or type(k_grid) is not int:
+                raise TypeError
             # np.fromiter would broadcast a bare number to a whole row
             odd = [point for point in points if type(point) is not tuple]
             if odd:
@@ -353,7 +353,8 @@ class ButterflyDataset:
 def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
     """Harper spectra for every reduced flux with denominator up to q_max."""
     _validate_k_grid(k_grid)
-    _require_sweep(q_max, k_grid)
+    _require_held((q for q in range(1, q_max + 1) for nu in range(q)
+                   if math.gcd(nu, q) == 1), k_grid, "the butterfly sweep")
     entries = []
     for phi in flux_values(q_max):
         est = spectrum(Flux.rational(phi.numerator, phi.denominator), k_grid)
@@ -384,9 +385,7 @@ class ApproximantSequence:
 
 def approximant_spectra(flux: Flux, depth: int, k_grid: int) -> ApproximantSequence:
     convergents = flux.convergents(depth)
-    # size every stack before solving any: gcd(q, k_grid) makes it non-monotone in q
-    for c in convergents:
-        _require_bloch_stack(c.denominator, k_grid)
+    _require_held([c.denominator for c in convergents], k_grid, "the approximant sequence")
     spectra = [spectrum(Flux.rational(c.numerator, c.denominator), k_grid)
                for c in convergents]
     distances = [hausdorff_distance(s0.samples, s1.samples)

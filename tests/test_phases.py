@@ -255,6 +255,12 @@ class TestFlux:
         assert Flux.rational(1, 2).theta == pytest.approx(math.pi)
         assert GOLDEN.theta == pytest.approx(2 * math.pi * GOLDEN.value)
 
+    def test_rational_flux_has_no_continued_fraction(self):
+        # convergents refuse rational flux, so nothing reads its terms
+        assert Flux.rational(3, 7).cf_terms == ()
+        with pytest.raises(RationalFluxError):
+            Flux.rational(3, 7).convergents(1)
+
     def test_golden_continued_fraction(self):
         assert GOLDEN.cf_terms[:8] == (1,) * 8
         assert Flux.sqrt2().cf_terms[:8] == (2,) * 8

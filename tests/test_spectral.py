@@ -406,6 +406,18 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="malformed butterfly point"):
             ButterflyDataset.from_json(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"q_max": "x", "k_grid": 4, "points": []},
+        {"q_max": 2, "k_grid": None, "points": []},
+        {"q_max": 2, "k_grid": 4, "points": [{"phi": [1, 2], "E": "nan"}]},
+        {"q_max": 2, "k_grid": 4, "points": [{"phi": [1, 2], "E": True}]},
+    ], ids=["string-q_max", "null-k_grid", "string-energy", "bool-energy"])
+    def test_json_header_and_energies_are_typed(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed butterfly"):
+            ButterflyDataset.from_json(path)
+
     def test_json_flux_past_int64_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"q_max": 2, "k_grid": 2,
@@ -460,33 +472,35 @@ class TestAgainstReference:
 
 
 class TestAllocationBudget:
-    def test_spectrum_budget_is_the_bloch_stack(self, monkeypatch):
-        # q = 4, k_grid = 8: gcd 4, so 2 * 8 complex 4 x 4 matrices = 4096 bytes
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 4096)
+    def test_spectrum_budget_is_what_the_solve_holds(self, monkeypatch):
+        # q = 4, k_grid = 8: gcd 4, so n_k = 16 points in one chunk.  Held:
+        # 2048 bytes of samples + 128 * 4 of bands + 512 of objects = 3072.
+        # Transient: 4096 tiled and sorted + 16 * (16 + 32) k-points and
+        # eigenvalues + 16384 + 16 * (16 * 16 + 24 * 4 + 64) chunk = 27904.
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 30976)
         assert spectrum(Flux.rational(1, 4), 8).samples.size == 4 * 8 * 8
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 4095)
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 30975)
         with pytest.raises(ValueError, match="allocation budget"):
             spectrum(Flux.rational(1, 4), 8)
 
-    @pytest.mark.parametrize("k_grid,largest", [(7, 8), (8, 5)])
-    def test_approximants_refused_before_any_solve(self, monkeypatch, k_grid, largest):
-        # golden at depth 5 has q = 1, 2, 3, 5, 8; at k_grid 8 the q = 8 stack
-        # shrinks by gcd 8, so the q = 5 stack is the largest
-        nbytes = max((k_grid // math.gcd(q, k_grid)) * k_grid * q * q * 16
-                     for q in (1, 2, 3, 5, 8))
-        assert nbytes == k_grid * k_grid * largest * largest * 16
+    @pytest.mark.parametrize("k_grid,crossing", [(7, 8), (8, 5), (7, 5), (8, 8)])
+    def test_approximants_refused_before_any_solve(self, monkeypatch, k_grid, crossing):
+        # golden at depth 5 has q = 1, 2, 3, 5, 8; the figure counts every
+        # flux's samples up to q plus the largest one-flux transient, which
+        # at k_grid 8 is still q = 5's (q = 8 solves n_k = 8 points, not 64)
+        nbytes = {(7, 5): 59432, (7, 8): 101736, (8, 5): 71552, (8, 8): 77184}[k_grid, crossing]
         solved = []
         monkeypatch.setattr(spectral, "spectrum", lambda *args: solved.append(args))
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
-        with pytest.raises(ValueError, match=f"q={largest},"):
+        with pytest.raises(ValueError, match=f"q={crossing}, k_grid={k_grid} needs {nbytes} "):
             approximant_spectra(Flux.golden(), 5, k_grid)
         assert solved == []
 
-
     def test_butterfly_sizes_the_whole_sweep_first(self, monkeypatch):
         # q_max = 3, k_grid = 6: 0/1, 1/2, 1/3, 2/3 hold (1 + 2 + 3 + 3) * 36
-        # floats, more than any one of their Bloch stacks (1728 bytes at q = 3)
-        nbytes = 8 * 36 * (1 + 2 + 3 + 3)
+        # floats, 9 * 128 of bands and 4 * 512 of objects; the largest
+        # transient is q = 3's, 21952 bytes
+        nbytes = 8 * 36 * (1 + 2 + 3 + 3) + 9 * 128 + 4 * 512 + 21952
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -496,15 +510,80 @@ class TestAllocationBudget:
             butterfly(3, 6)
         assert solved == []
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes)
-        assert 8 * butterfly(3, 6).n_rows() == nbytes
+        assert 8 * butterfly(3, 6).n_rows() == 8 * 36 * (1 + 2 + 3 + 3)
         assert len(solved) == 4
 
     def test_huge_sweep_refused_before_listing_fluxes(self, monkeypatch):
         listed = []
         monkeypatch.setattr(spectral, "flux_values", lambda q_max: listed.append(q_max))
-        with pytest.raises(ValueError, match=r"up to q=118 at k_grid=20"):
+        with pytest.raises(ValueError, match=r"through q=116, k_grid=20 "):
             butterfly(10**9, 20)
         assert listed == []
+
+    def test_a_refusal_comes_before_any_solve(self, monkeypatch):
+        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 37 MB traced,
+        # but the rule's upper bound is 75 MB
+        shapes = count_eigvalsh(monkeypatch)
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 32 * 2**20)
+        with pytest.raises(ValueError, match="allocation budget"):
+            spectrum(Flux.rational(0, 1), 1000)
+        assert shapes == []
+
+    def test_chunked_requests_fit_a_small_budget(self, monkeypatch):
+        # the whole q = 169 stack at k_grid 12 is 66 MB; the solve holds 5 MB
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
+        assert spectrum(Flux.rational(70, 169), 12).samples.size == 169 * 144
+        seq = approximant_spectra(Flux.sqrt2(), 6, 12)
+        assert seq.convergents[-1] == Fraction(70, 169)
+
+    def test_cli_output_does_not_depend_on_the_budget(self, monkeypatch, capsys):
+        argv = ["spectrum", "--flux", "sqrt2", "--depth", "6", "--k-grid", "12",
+                "--format", "json"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
+        assert main(argv) == 0
+        assert capsys.readouterr() == default
+
+
+def traced_request(monkeypatch, request):
+    """The largest figure the request passes to require_allocation, and the
+    tracemalloc peak of running it."""
+    figures = []
+    require = spectral.require_allocation
+    monkeypatch.setattr(spectral, "require_allocation",
+                        lambda nbytes, what: figures.append(nbytes) or require(nbytes, what))
+    tracemalloc.start()
+    try:
+        request()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return max(figures), peak
+
+
+@pytest.mark.parametrize("request_", [
+    lambda: spectrum(Flux.rational(0, 1), 1000),
+    lambda: spectrum(Flux.rational(1, 2), 200),
+    lambda: spectrum(Flux.rational(3, 7), 64),
+    lambda: spectrum(Flux.rational(70, 169), 12),
+    lambda: spectrum(Flux.rational(21, 34), 68),
+    lambda: approximant_spectra(Flux.golden(), 8, 40),
+    lambda: approximant_spectra(Flux.sqrt2(), 6, 12),
+    lambda: butterfly(12, 24),
+    lambda: butterfly(30, 10),
+    lambda: butterfly(20, 40),
+], ids=["spectrum 0/1 k1000", "spectrum 1/2 k200", "spectrum 3/7 k64",
+        "spectrum 70/169 k12", "spectrum 21/34 k68", "approximants golden 8 k40",
+        "approximants sqrt2 6 k12", "butterfly 12 k24", "butterfly 30 k10",
+        "butterfly 20 k40"])
+def test_sized_figure_bounds_what_the_request_holds(monkeypatch, request_):
+    """The figure a request is sized at is at least the tracemalloc peak of
+    running it, and at most three times that peak.  tracemalloc sees the
+    numpy arrays and Python objects, not LAPACK's workspace, which numpy
+    allocates outside it."""
+    figure, peak = traced_request(monkeypatch, request_)
+    assert peak <= figure <= 3 * peak
 
 
 def reference_solve_reduced(num, den, k_grid):
