@@ -11,9 +11,8 @@ replicates, which never changes the reported samples.
 Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
 one) through the same LAPACK call as one batched call, so the eigenvalues
 are bit-identical.  One rule sizes every request before its first solve:
-the samples of every flux it returns stay held, plus the largest transient
-of one flux solve (sample copies, k-points, eigenvalues and one chunk).
-The budget bounds memory, not run time.
+every returned flux's samples stay held, plus the largest transient of one
+flux solve and a fixed slack.  The budget bounds memory, not run time.
 """
 
 from __future__ import annotations
@@ -55,6 +54,10 @@ def require_allocation(nbytes: int, what: str) -> None:
 
 # Bloch matrices built and solved at once; a larger stack is solved in chunks.
 _STACK_CHUNK_BYTES = 1 << 22
+# Samples hausdorff_distance compares at once, with 48 bytes of temporaries each.
+_COMPARE_CHUNK = 1 << 12
+# What no _require_held term counts: small arrays and one comparison chunk.
+_SLACK_BYTES = 1 << 18
 
 
 def _chunk_length(den: int) -> int:
@@ -63,23 +66,21 @@ def _chunk_length(den: int) -> int:
 
 
 def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
-    """Refuse, at the first q over budget, a request that solves one flux per
-    denominator in `dens`, so a lazy sweep is never listed whole.  Each flux
-    holds its samples, 128 bytes a band and 512 of Python objects; a solve's
-    transient adds 16 KiB of small arrays and its chunk's per-row temporaries."""
+    """Check k_grid, then refuse at the first q over budget a request that
+    solves one flux per q in `dens`, so a lazy sweep is never listed whole.
+    Each flux holds its samples, 128 bytes a band and 512 of objects; on top
+    come the largest solve transient (sample copies, k-points, eigenvalues,
+    one chunk of matrices with their row temporaries) and _SLACK_BYTES."""
+    if k_grid < 4:
+        raise ValueError("k_grid must be at least 4")
     held = transient = 0
     for q in dens:
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
-        chunk = min(n_k, _chunk_length(q))
-        held += 8 * q * k_grid * k_grid + 128 * q + 512
+        held += 8 * q * k_grid * k_grid + 128 * (q + 4)
         transient = max(transient, 16 * q * k_grid * k_grid + n_k * (16 + 8 * q)
-                        + (1 << 14) + chunk * (16 * q * q + 24 * q + 64))
-        require_allocation(held + transient, f"{what} through q={q}, k_grid={k_grid}")
-
-
-def _validate_k_grid(k_grid: int) -> None:
-    if k_grid < 4:
-        raise ValueError("k_grid must be at least 4")
+                        + min(n_k, _chunk_length(q)) * (16 * q * q + 24 * q + 64))
+        require_allocation(held + transient + _SLACK_BYTES,
+                           f"{what} through q={q}, k_grid={k_grid}")
 
 
 def _validate_fraction(num: int, den: int) -> None:
@@ -91,12 +92,10 @@ def _validate_fraction(num: int, den: int) -> None:
         raise ValueError(f"flux fraction {num}/{den} is not in lowest terms")
 
 
-def _bloch_stack(num: int, den: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+def _bloch_stack(num: int, q: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Stack of Bloch matrices, one per (k1[i], k2[i])."""
-    q = den
-    n = len(k1)
     m = np.arange(q)
-    mats = np.zeros((n, q, q), dtype=complex)
+    mats = np.zeros((len(k1), q, q), dtype=complex)
     mats[:, m, m] = 2.0 * np.cos(k2[:, None] + TWO_PI * num * m[None, :] / q)
     if q > 1:
         idx = np.arange(q - 1)
@@ -159,8 +158,7 @@ def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     array."""
     ks = TWO_PI * np.arange(k_grid) / k_grid
     g = math.gcd(den, k_grid)
-    k1_reps = ks[: k_grid // g]
-    kk1, kk2 = np.meshgrid(k1_reps, ks, indexing="ij")
+    kk1, kk2 = np.meshgrid(ks[: k_grid // g], ks, indexing="ij")
     k1, k2 = kk1.ravel(), kk2.ravel()
     step = _chunk_length(den)
     eigs = np.empty((k1.size, den))
@@ -176,22 +174,24 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     if not flux.is_rational:
         raise ValueError("spectrum needs a rational flux; use approximant_spectra "
                          "for an irrational one")
-    _validate_k_grid(k_grid)
     num, den = flux.numerator, flux.denominator
     _require_held([den], k_grid, "the spectrum")
     eigs, g = _solve_reduced(num, den, k_grid)
-    bands = _merge_bands([(float(eigs[:, m].min()), float(eigs[:, m].max()))
-                          for m in range(den)])
+    bands = _merge_bands(list(zip(eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist())))
     samples = np.sort(np.tile(eigs.ravel(), g))
     return SpectrumEstimate(flux, samples, bands, k_grid)
+
+
+def _reduced_fluxes(q_max: int) -> Iterator[tuple[int, int]]:
+    """(nu, q) of every reduced nu/q in [0, 1) with q <= q_max, lazily."""
+    return ((nu, q) for q in range(1, q_max + 1) for nu in range(q) if math.gcd(nu, q) == 1)
 
 
 def flux_values(q_max: int) -> list[Fraction]:
     """All reduced fractions nu/q in [0, 1) with q <= q_max, ascending."""
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
-    return sorted(Fraction(nu, q) for q in range(1, q_max + 1) for nu in range(q)
-                  if math.gcd(nu, q) == 1)
+    return sorted(Fraction(nu, q) for nu, q in _reduced_fluxes(q_max))
 
 
 _ROW = np.dtype([("num", np.int64), ("den", np.int64), ("energy", np.float64)])
@@ -333,8 +333,7 @@ class ButterflyDataset:
     def symmetry_report(self, tol: float = 1e-9) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries."""
         table = {(n, d): s for n, d, s in self.entries}
-        flux_dev = 0.0
-        energy_dev = 0.0
+        flux_dev = energy_dev = 0.0
         for (n, d), samples in table.items():
             partner = table.get(((d - n) % d, d))
             if partner is None or partner.size != samples.size:
@@ -352,23 +351,25 @@ class ButterflyDataset:
 
 def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
     """Harper spectra for every reduced flux with denominator up to q_max."""
-    _validate_k_grid(k_grid)
-    _require_held((q for q in range(1, q_max + 1) for nu in range(q)
-                   if math.gcd(nu, q) == 1), k_grid, "the butterfly sweep")
-    entries = []
-    for phi in flux_values(q_max):
-        est = spectrum(Flux.rational(phi.numerator, phi.denominator), k_grid)
-        entries.append((phi.numerator, phi.denominator, est.samples))
-    return ButterflyDataset(q_max, k_grid, entries)
+    _require_held((q for _nu, q in _reduced_fluxes(q_max)), k_grid, "the butterfly sweep")
+    return ButterflyDataset(q_max, k_grid, [
+        (phi.numerator, phi.denominator,
+         spectrum(Flux.rational(phi.numerator, phi.denominator), k_grid).samples)
+        for phi in flux_values(q_max)])
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two sorted sample sets on the line."""
+    """Hausdorff distance between two sorted sample sets on the line, each
+    compared against the other _COMPARE_CHUNK samples at a time."""
     def directed(x: np.ndarray, y: np.ndarray) -> float:
-        pos = np.searchsorted(y, x)
-        left = y[np.clip(pos - 1, 0, y.size - 1)]
-        right = y[np.clip(pos, 0, y.size - 1)]
-        return float(np.max(np.minimum(np.abs(x - left), np.abs(x - right))))
+        worst = []
+        for lo in range(0, x.size, _COMPARE_CHUNK):
+            part = x[lo:lo + _COMPARE_CHUNK]
+            pos = np.searchsorted(y, part)
+            left = y[np.clip(pos - 1, 0, y.size - 1)]
+            right = y[np.clip(pos, 0, y.size - 1)]
+            worst.append(np.max(np.minimum(np.abs(part - left), np.abs(part - right))))
+        return float(np.max(worst))
     return max(directed(a, b), directed(b, a))
 
 

@@ -471,24 +471,39 @@ class TestAgainstReference:
         assert out.read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
 
 
+def held_rule(dens, k_grid):
+    """The figure the held-memory rule gives after each q in dens, term by
+    term: every flux's samples, bands and objects, plus the largest one-flux
+    transient and the slack."""
+    held = transient = 0
+    figures = []
+    for q in dens:
+        samples = q * k_grid * k_grid
+        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+        chunk = min(n_k, max(1, spectral._STACK_CHUNK_BYTES // (16 * q * q)))
+        held += 8 * samples + 128 * q + 512
+        transient = max(transient, 16 * samples + n_k * (16 + 8 * q)
+                        + chunk * (16 * q * q + 24 * q + 64))
+        figures.append(held + transient + spectral._SLACK_BYTES)
+    return figures
+
+
 class TestAllocationBudget:
     def test_spectrum_budget_is_what_the_solve_holds(self, monkeypatch):
-        # q = 4, k_grid = 8: gcd 4, so n_k = 16 points in one chunk.  Held:
-        # 2048 bytes of samples + 128 * 4 of bands + 512 of objects = 3072.
-        # Transient: 4096 tiled and sorted + 16 * (16 + 32) k-points and
-        # eigenvalues + 16384 + 16 * (16 * 16 + 24 * 4 + 64) chunk = 27904.
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 30976)
+        # q = 4, k_grid = 8: gcd 4, so n_k = 16 points in one chunk
+        [nbytes] = held_rule([4], 8)
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes)
         assert spectrum(Flux.rational(1, 4), 8).samples.size == 4 * 8 * 8
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 30975)
+        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
         with pytest.raises(ValueError, match="allocation budget"):
             spectrum(Flux.rational(1, 4), 8)
 
     @pytest.mark.parametrize("k_grid,crossing", [(7, 8), (8, 5), (7, 5), (8, 8)])
     def test_approximants_refused_before_any_solve(self, monkeypatch, k_grid, crossing):
         # golden at depth 5 has q = 1, 2, 3, 5, 8; the figure counts every
-        # flux's samples up to q plus the largest one-flux transient, which
-        # at k_grid 8 is still q = 5's (q = 8 solves n_k = 8 points, not 64)
-        nbytes = {(7, 5): 59432, (7, 8): 101736, (8, 5): 71552, (8, 8): 77184}[k_grid, crossing]
+        # flux's samples up to q plus the largest one-flux transient
+        dens = [1, 2, 3, 5, 8]
+        nbytes = held_rule(dens, k_grid)[dens.index(crossing)]
         solved = []
         monkeypatch.setattr(spectral, "spectrum", lambda *args: solved.append(args))
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
@@ -497,10 +512,8 @@ class TestAllocationBudget:
         assert solved == []
 
     def test_butterfly_sizes_the_whole_sweep_first(self, monkeypatch):
-        # q_max = 3, k_grid = 6: 0/1, 1/2, 1/3, 2/3 hold (1 + 2 + 3 + 3) * 36
-        # floats, 9 * 128 of bands and 4 * 512 of objects; the largest
-        # transient is q = 3's, 21952 bytes
-        nbytes = 8 * 36 * (1 + 2 + 3 + 3) + 9 * 128 + 4 * 512 + 21952
+        # q_max = 3, k_grid = 6: 0/1, 1/2, 1/3 and 2/3, sized in that order
+        nbytes = held_rule([1, 2, 3, 3], 6)[-1]
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -522,7 +535,7 @@ class TestAllocationBudget:
 
     def test_a_refusal_comes_before_any_solve(self, monkeypatch):
         # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 37 MB traced,
-        # but the rule's upper bound is 75 MB
+        # but the rule's upper bound is 76 MB
         shapes = count_eigvalsh(monkeypatch)
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 32 * 2**20)
         with pytest.raises(ValueError, match="allocation budget"):
@@ -547,19 +560,23 @@ class TestAllocationBudget:
 
 
 def traced_request(monkeypatch, request):
-    """The largest figure the request passes to require_allocation, and the
-    tracemalloc peak of running it."""
+    """The largest figure the request passes to require_allocation, the
+    tracemalloc peak of running it, and the bytes of samples it returns."""
     figures = []
     require = spectral.require_allocation
     monkeypatch.setattr(spectral, "require_allocation",
                         lambda nbytes, what: figures.append(nbytes) or require(nbytes, what))
     tracemalloc.start()
     try:
-        request()
+        result = request()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return max(figures), peak
+    if isinstance(result, ButterflyDataset):
+        samples = 8 * result.n_rows()
+    else:
+        samples = sum(est.samples.nbytes for est in getattr(result, "spectra", [result]))
+    return max(figures), peak, samples
 
 
 @pytest.mark.parametrize("request_", [
@@ -570,20 +587,24 @@ def traced_request(monkeypatch, request):
     lambda: spectrum(Flux.rational(21, 34), 68),
     lambda: approximant_spectra(Flux.golden(), 8, 40),
     lambda: approximant_spectra(Flux.sqrt2(), 6, 12),
+    lambda: approximant_spectra(Flux.golden(), 5, 400),
     lambda: butterfly(12, 24),
     lambda: butterfly(30, 10),
     lambda: butterfly(20, 40),
 ], ids=["spectrum 0/1 k1000", "spectrum 1/2 k200", "spectrum 3/7 k64",
         "spectrum 70/169 k12", "spectrum 21/34 k68", "approximants golden 8 k40",
-        "approximants sqrt2 6 k12", "butterfly 12 k24", "butterfly 30 k10",
-        "butterfly 20 k40"])
+        "approximants sqrt2 6 k12", "approximants golden 5 k400", "butterfly 12 k24",
+        "butterfly 30 k10", "butterfly 20 k40"])
 def test_sized_figure_bounds_what_the_request_holds(monkeypatch, request_):
     """The figure a request is sized at is at least the tracemalloc peak of
-    running it, and at most three times that peak.  tracemalloc sees the
-    numpy arrays and Python objects, not LAPACK's workspace, which numpy
-    allocates outside it."""
-    figure, peak = traced_request(monkeypatch, request_)
+    running it, and at most three times that peak.  The returned samples are
+    counted exactly, so a sweep that returns many of them is sized close to
+    its peak; the rest of the figure bounds the rest of the peak with at
+    least 15 % to spare.  tracemalloc sees the numpy arrays and Python
+    objects, not LAPACK's workspace, which numpy allocates outside it."""
+    figure, peak, samples = traced_request(monkeypatch, request_)
     assert peak <= figure <= 3 * peak
+    assert figure - samples >= 1.15 * (peak - samples)
 
 
 def reference_solve_reduced(num, den, k_grid):
@@ -657,6 +678,36 @@ class TestHausdorff:
                 max(min(abs(x - y) for y in a) for x in b),
             )
             assert abs(hausdorff_distance(a, b) - brute) < 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_chunked_comparison_is_bit_identical(self, monkeypatch, chunk):
+        def whole(x, y):
+            # the comparison as first written, every sample at once
+            pos = np.searchsorted(y, x)
+            left = y[np.clip(pos - 1, 0, y.size - 1)]
+            right = y[np.clip(pos, 0, y.size - 1)]
+            return float(np.max(np.minimum(np.abs(x - left), np.abs(x - right))))
+        monkeypatch.setattr(spectral, "_COMPARE_CHUNK", chunk)
+        gen = np.random.default_rng(chunk)
+        for size_a, size_b in [(1, 1), (7, 2), (12, 30), (5000, 9000)]:
+            a = np.sort(gen.uniform(-4, 4, size_a))
+            b = np.sort(gen.uniform(-4, 4, size_b))
+            assert hausdorff_distance(a, b) == max(whole(a, b), whole(b, a))
+        with pytest.raises(ValueError):
+            hausdorff_distance(np.array([]), np.array([1.0]))
+
+    def test_comparison_temporaries_are_bounded(self):
+        # 10**6 samples a side; compared whole, the temporaries were 48 MB
+        gen = np.random.default_rng(0)
+        a = np.sort(gen.uniform(-4, 4, 10**6))
+        b = np.sort(gen.uniform(-4, 4, 10**6))
+        tracemalloc.start()
+        try:
+            hausdorff_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectral._SLACK_BYTES
 
 
 class TestTorusConsistency:
