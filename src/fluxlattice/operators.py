@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .phases import ExactPhase, Flux
 from .reporting import RelationReport
+from .spectral import require_allocation
 
 __all__ = [
     "IntForm",
@@ -492,6 +494,8 @@ def truncate(op: BasisMapOperator, window: tuple[tuple[int, int], ...],
     """
     if len(window) != op.dim:
         raise ValueError("window dimension does not match the operator")
+    n = math.prod(max(0, hi - lo + 1) for lo, hi in window)
+    require_allocation(16 * n * n, f"the truncated matrix over {n} sites")
     sites = _window_sites(window)
     if not sites:
         raise ValueError("window is empty")

@@ -176,7 +176,10 @@ class Flux:
 
     @classmethod
     def irrational(cls, value: float) -> "Flux":
-        v = float(value) % 1.0
+        v = float(value)
+        if not math.isfinite(v):
+            raise ValueError("flux value must be finite")
+        v %= 1.0
         return cls(fraction=None, value=v, cf_terms=_cf_terms_of_fraction(Fraction(v)))
 
     @classmethod

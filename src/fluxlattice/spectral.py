@@ -5,14 +5,16 @@ momenta (k1, k2) to the q x q Hermitian family with diagonal
 2*cos(k2 + 2*pi*nu*m/q), unit super/subdiagonals and corner entries
 e^{-+ i q k1} closing the cycle.  The matrix depends on k1 only through
 e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q; the sweep
-solves one representative per residue class of the uniform grid and
-replicates, which never changes the reported samples.
+solves one representative per residue class of the uniform grid, sorts
+those eigenvalues and repeats each one gcd(q, k_grid) times, which never
+changes the reported samples.
 
 Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
 one) through the same LAPACK call as one batched call, so the eigenvalues
 are bit-identical.  One rule sizes every request before its first solve:
 every returned flux's samples stay held, plus the largest transient of one
-flux solve and a fixed slack.  The budget bounds memory, not run time.
+flux solve (its reduced eigenvalues and one chunk of matrices) and a fixed
+slack.  The budget bounds memory, not run time.
 """
 
 from __future__ import annotations
@@ -69,16 +71,17 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
     """Check k_grid, then refuse at the first q over budget a request that
     solves one flux per q in `dens`, so a lazy sweep is never listed whole.
     Each flux holds its samples, 128 bytes a band and 512 of objects; on top
-    come the largest solve transient (sample copies, k-points, eigenvalues,
-    one chunk of matrices with their row temporaries) and _SLACK_BYTES."""
+    come the largest solve transient (the reduced eigenvalues, and one chunk
+    of matrices with their row temporaries, plus one more matrix) and
+    _SLACK_BYTES."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
     for q in dens:
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
         held += 8 * q * k_grid * k_grid + 128 * (q + 4)
-        transient = max(transient, 16 * q * k_grid * k_grid + n_k * (16 + 8 * q)
-                        + min(n_k, _chunk_length(q)) * (16 * q * q + 24 * q + 64))
+        transient = max(transient, 8 * q * n_k
+                        + (min(n_k, _chunk_length(q)) + 1) * (16 * q * q + 24 * q + 64))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
 
@@ -155,17 +158,18 @@ def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     """Eigenvalues over one k1 representative per residue class, and the
     replication factor gcd(q, k_grid).  The (k1, k2) points are solved in
     order, _STACK_CHUNK_BYTES of matrices at a time, into one (n_k, q)
-    array."""
+    array, the only array of n_k rows it holds: each chunk takes its
+    momenta from the flat point index."""
     ks = TWO_PI * np.arange(k_grid) / k_grid
     g = math.gcd(den, k_grid)
-    kk1, kk2 = np.meshgrid(ks[: k_grid // g], ks, indexing="ij")
-    k1, k2 = kk1.ravel(), kk2.ravel()
+    n_k = (k_grid // g) * k_grid
     step = _chunk_length(den)
-    eigs = np.empty((k1.size, den))
-    for lo in range(0, k1.size, step):
+    eigs = np.empty((n_k, den))
+    for lo in range(0, n_k, step):
+        i = np.arange(lo, min(lo + step, n_k))
         # no name holds a chunk, so it is freed before the next one is built
         eigs[lo:lo + step] = np.linalg.eigvalsh(
-            _bloch_stack(num, den, k1[lo:lo + step], k2[lo:lo + step]))
+            _bloch_stack(num, den, ks[i // k_grid], ks[i % k_grid]))
     return eigs, g
 
 
@@ -178,8 +182,9 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     _require_held([den], k_grid, "the spectrum")
     eigs, g = _solve_reduced(num, den, k_grid)
     bands = _merge_bands(list(zip(eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist())))
-    samples = np.sort(np.tile(eigs.ravel(), g))
-    return SpectrumEstimate(flux, samples, bands, k_grid)
+    flat = eigs.ravel()
+    flat.sort()
+    return SpectrumEstimate(flux, np.repeat(flat, g), bands, k_grid)
 
 
 def _reduced_fluxes(q_max: int) -> Iterator[tuple[int, int]]:

@@ -222,6 +222,7 @@ INVALID_INPUTS = [
     (["classify", "--flux", "0.0"], None),
     (["classify", "--flux", "1"], None),
     (["classify", "--flux", "3.0"], None),
+    (["classify", "--flux", "1" * 400], None),
     (["spectrum", "--flux", "1/3", "--k-grid", "8"], 1024),
     (["spectrum", "--flux", "golden", "--depth", "4", "--k-grid", "8"], 1024),
     (["landau", "--n-max", "8"], 1024),

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,18 @@ class TestTruncate:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             truncate(BasisMapOperator.identity(1), ((1, 0),), "open", GOLDEN)
+
+    def test_oversized_window_refused_before_listing_sites(self):
+        # 10,000 sites give a 1.49 GiB dense matrix, over the 1 GiB budget
+        rep = build_wavefunction(GOLDEN)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="allocation budget"):
+                truncate(rep.q1, ((0, 99), (0, 99)), "open", GOLDEN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPhaseFormClosure:

@@ -287,6 +287,14 @@ class TestFlux:
         with pytest.raises(ValueError):
             quarter.convergents(5)
 
+    def test_irrational_refuses_a_non_finite_value(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="flux value must be finite"):
+                Flux.irrational(value)
+        # a decimal too long for a float overflows to inf
+        with pytest.raises(ValueError, match="flux value must be finite"):
+            Flux.parse("9" * 400)
+
     def test_irrational_numerator_access_raises(self):
         with pytest.raises(RationalFluxError):
             _ = GOLDEN.numerator

@@ -474,7 +474,8 @@ class TestAgainstReference:
 def held_rule(dens, k_grid):
     """The figure the held-memory rule gives after each q in dens, term by
     term: every flux's samples, bands and objects, plus the largest one-flux
-    transient and the slack."""
+    transient (reduced eigenvalues and one chunk plus one more matrix)
+    and the slack."""
     held = transient = 0
     figures = []
     for q in dens:
@@ -482,8 +483,7 @@ def held_rule(dens, k_grid):
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
         chunk = min(n_k, max(1, spectral._STACK_CHUNK_BYTES // (16 * q * q)))
         held += 8 * samples + 128 * q + 512
-        transient = max(transient, 16 * samples + n_k * (16 + 8 * q)
-                        + chunk * (16 * q * q + 24 * q + 64))
+        transient = max(transient, 8 * q * n_k + (chunk + 1) * (16 * q * q + 24 * q + 64))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
@@ -534,8 +534,8 @@ class TestAllocationBudget:
         assert listed == []
 
     def test_a_refusal_comes_before_any_solve(self, monkeypatch):
-        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 37 MB traced,
-        # but the rule's upper bound is 76 MB
+        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 27 MB traced,
+        # but the rule's upper bound is 44 MB
         shapes = count_eigvalsh(monkeypatch)
         monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 32 * 2**20)
         with pytest.raises(ValueError, match="allocation budget"):
@@ -585,6 +585,7 @@ def traced_request(monkeypatch, request):
     lambda: spectrum(Flux.rational(3, 7), 64),
     lambda: spectrum(Flux.rational(70, 169), 12),
     lambda: spectrum(Flux.rational(21, 34), 68),
+    lambda: spectrum(Flux.rational(1, 8), 800),
     lambda: approximant_spectra(Flux.golden(), 8, 40),
     lambda: approximant_spectra(Flux.sqrt2(), 6, 12),
     lambda: approximant_spectra(Flux.golden(), 5, 400),
@@ -592,7 +593,8 @@ def traced_request(monkeypatch, request):
     lambda: butterfly(30, 10),
     lambda: butterfly(20, 40),
 ], ids=["spectrum 0/1 k1000", "spectrum 1/2 k200", "spectrum 3/7 k64",
-        "spectrum 70/169 k12", "spectrum 21/34 k68", "approximants golden 8 k40",
+        "spectrum 70/169 k12", "spectrum 21/34 k68", "spectrum 1/8 k800",
+        "approximants golden 8 k40",
         "approximants sqrt2 6 k12", "approximants golden 5 k400", "butterfly 12 k24",
         "butterfly 30 k10", "butterfly 20 k40"])
 def test_sized_figure_bounds_what_the_request_holds(monkeypatch, request_):
@@ -616,6 +618,16 @@ def reference_solve_reduced(num, den, k_grid):
     return np.linalg.eigvalsh(spectral._bloch_stack(num, den, kk1.ravel(), kk2.ravel())), g
 
 
+def reference_spectrum(num, den, k_grid):
+    """Reference samples and bands: the whole-stack solve, its eigenvalues
+    tiled gcd(q, k_grid) times and then sorted, as the spectrum was first
+    assembled."""
+    eigs, g = reference_solve_reduced(num, den, k_grid)
+    bands = spectral._merge_bands(list(zip(eigs.min(axis=0).tolist(),
+                                           eigs.max(axis=0).tolist())))
+    return np.sort(np.tile(eigs.ravel(), g)), bands
+
+
 def count_eigvalsh(monkeypatch):
     """Record the shape of every np.linalg.eigvalsh argument."""
     shapes = []
@@ -629,9 +641,7 @@ class TestChunkedSolve:
     @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (2, 5), (3, 8), (8, 13), (21, 34)])
     def test_bit_identical_to_the_whole_stack(self, monkeypatch, nu, q, k_grid):
         flux = Flux.rational(nu, q)
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_solve_reduced", reference_solve_reduced)
-            ref = spectrum(flux, k_grid)
+        ref_samples, ref_bands = reference_spectrum(nu, q, k_grid)
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
         # one matrix per chunk, then the fewest per chunk that leave a short
         # last chunk
@@ -643,8 +653,32 @@ class TestChunkedSolve:
                 est = spectrum(flux, k_grid)
             assert [s[0] for s in shapes] == [per_chunk] * (n_k // per_chunk) + (
                 [n_k % per_chunk] if n_k % per_chunk else [])
-            assert np.array_equal(est.samples, ref.samples)
-            assert est.bands == ref.bands
+            assert est.samples.tobytes() == ref_samples.tobytes()
+            assert est.bands == ref_bands
+
+    def test_sort_then_repeat_is_the_tiled_sort(self):
+        # every reduced flux with q <= 14 at grids that share all, some or no
+        # factors with q; tobytes tells 0.0 from -0.0
+        for q in range(1, 15):
+            for nu in (nu for nu in range(q) if math.gcd(nu, q) == 1):
+                for k_grid in (4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 40):
+                    est = spectrum(Flux.rational(nu, q), k_grid)
+                    ref_samples, ref_bands = reference_spectrum(nu, q, k_grid)
+                    assert est.samples.tobytes() == ref_samples.tobytes(), (nu, q, k_grid)
+                    assert est.bands == ref_bands
+
+    @pytest.mark.parametrize("nu,q,k_grid,ratio", [(1, 8, 800, 1.25), (1, 2, 1000, 1.75)])
+    def test_solve_holds_no_copy_of_the_samples(self, nu, q, k_grid, ratio):
+        # the samples, the reduced eigenvalues (1/gcd(q, k_grid) of the
+        # samples) and one chunk; a tiled copy beside its sorted copy would
+        # hold twice the samples
+        tracemalloc.start()
+        try:
+            est = spectrum(Flux.rational(nu, q), k_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * est.samples.nbytes
 
     def test_large_stack_is_never_held_whole(self):
         # the q = 169 stack at k_grid 12 is 144 matrices, 66 MB; one chunk is
