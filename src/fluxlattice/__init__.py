@@ -59,7 +59,6 @@ from .spectral import (
     ButterflyDataset,
     SpectrumEstimate,
     approximant_spectra,
-    bloch_matrix,
     butterfly,
     flux_values,
     hausdorff_distance,

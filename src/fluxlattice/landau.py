@@ -109,12 +109,16 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
 
     a = _ladder(n_max)
     sgn = 1.0 if r > 0 else -1.0
-    scale = np.sqrt(abs(r) / 2.0)
-    x = scale * (a + a.conj().T)
-    y = sgn * scale * 1j * (a.conj().T - a)
-    ham_mode = (x @ x + y @ y) / (2.0 * mass)
-    return LandauOperators(r=r, mass=mass, n_max=n_max, x=x, y=y,
-                           ham_mode=ham_mode, s=sgn * 0.5)
+    with np.errstate(all="ignore"):  # finite r and m can still overflow the factors
+        scale = np.sqrt(abs(r) / 2.0)
+        x = scale * (a + a.conj().T)
+        y = sgn * scale * 1j * (a.conj().T - a)
+        ham_mode = (x @ x + y @ y) / (2.0 * mass)
+        ops = LandauOperators(r=r, mass=mass, n_max=n_max, x=x, y=y,
+                              ham_mode=ham_mode, s=sgn * 0.5)
+        if not all(np.isfinite(f).all() for f in (x, y, ham_mode, ops.ang_mode)):
+            raise ValueError(f"invalid parameters: r={r} and m={mass} give non-finite operators")
+    return ops
 
 
 def _mode_spectrum(ops: LandauOperators, n_levels: int, n_max_needed: int) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Harper spectra at rational flux via Bloch reduction, and butterfly sweeps.
 
-At flux nu/q the nearest-neighbour hopping operator reduces over magnetic
-momenta (k1, k2) to the q x q Hermitian family with diagonal
-2*cos(k2 + 2*pi*nu*m/q), unit super/subdiagonals and corner entries
-e^{-+ i q k1} closing the cycle.  The matrix depends on k1 only through
-e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q; the sweep
-solves one representative per residue class of the uniform grid, sorts
-those eigenvalues and repeats each one gcd(q, k_grid) times, which never
-changes the reported samples.
+At flux nu/q the Bloch matrices are the hopping element
+`algebra.harper_element()` in the q-dimensional representation of the
+magnetic translations at momenta (k1, k2): diagonal 2*cos(k2 + 2*pi*nu*m/q),
+unit super/subdiagonals and corners e^{-+ i q k1}.  A matrix depends on k1
+only through e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q;
+the sweep solves one representative per residue class of the uniform grid,
+sorts those eigenvalues and repeats each one gcd(q, k_grid) times, which
+never changes the reported samples.
 
 Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
 one) through the same LAPACK call as one batched call, so the eigenvalues
@@ -28,13 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import harper_element
 from .phases import TWO_PI, Flux
 
 __all__ = [
     "SpectrumEstimate",
     "ButterflyDataset",
     "ApproximantSequence",
-    "bloch_matrix",
     "spectrum",
     "butterfly",
     "approximant_spectra",
@@ -54,6 +54,7 @@ def require_allocation(nbytes: int, what: str) -> None:
                          f"{ALLOCATION_BUDGET_BYTES} byte allocation budget")
 
 
+_HAMILTONIAN = harper_element()  # the one element every Bloch matrix represents
 # Bloch matrices built and solved at once; a larger stack is solved in chunks.
 _STACK_CHUNK_BYTES = 1 << 22
 # Samples hausdorff_distance compares at once, with 48 bytes of temporaries each.
@@ -81,7 +82,7 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
         held += 8 * q * k_grid * k_grid + 128 * (q + 4)
         transient = max(transient, 8 * q * n_k
-                        + (min(n_k, _chunk_length(q)) + 1) * (16 * q * q + 24 * q + 64))
+                        + (min(n_k, _chunk_length(q)) + 1) * (16 * q * q + 56 * q + 64))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
 
@@ -96,28 +97,23 @@ def _validate_fraction(num: int, den: int) -> None:
 
 
 def _bloch_stack(num: int, q: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Stack of Bloch matrices, one per (k1[i], k2[i])."""
-    m = np.arange(q)
+    """Stack of Bloch matrices, one per (k1[i], k2[i]): _HAMILTONIAN in the
+    representation q1 -> S, q2 -> D at flux num/q.  S sends site m to m - 1
+    and closes the cycle with e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so
+    S D S^-1 D^-1 = e^{-i th} as in `algebra`.  A term c * phase * q1^a q2^b
+    adds c * phase(th) * S^a D^b: column m lands in row (m - a) mod q."""
+    theta, m = TWO_PI * num / q, np.arange(q)
+    angle, qk1 = k2[:, None] + TWO_PI * num * m / q, q * k1[:, None]
     mats = np.zeros((len(k1), q, q), dtype=complex)
-    mats[:, m, m] = 2.0 * np.cos(k2[:, None] + TWO_PI * num * m[None, :] / q)
-    if q > 1:
-        idx = np.arange(q - 1)
-        mats[:, idx, idx + 1] += 1.0
-        mats[:, idx + 1, idx] += 1.0
-    corner = np.exp(-1j * q * k1)
-    mats[:, 0, q - 1] += corner
-    mats[:, q - 1, 0] += np.conj(corner)
+    # q2 terms first: at q = 1 all terms share one entry, summed in this
+    # order as 2 cos(k2) + cos(k1) + cos(k1), bit for bit as hand-coded
+    for c, mono in sorted(_HAMILTONIAN.terms(), key=lambda t: abs(t[1].exponents[2])):
+        _j1, _j2, a, b = mono.exponents
+        wraps, rows = np.divmod(m - a, q)
+        entries = c * mono.phase.evaluate(theta) * np.exp(-1j * (b * angle + wraps * qk1))
+        mats[:, rows, m] += entries
+        del entries  # freed before the next term's are computed
     return mats
-
-
-def bloch_matrix(num: int, den: int, k1: float, k2: float) -> np.ndarray:
-    """The q x q Bloch matrix at momenta (k1, k2) for reduced flux num/den.
-
-    For q = 1 this is the scalar 2*cos(k1) + 2*cos(k2); for q = 2 the corner
-    terms add onto the existing off-diagonals.
-    """
-    _validate_fraction(num, den)
-    return _bloch_stack(num, den, np.array([k1]), np.array([k2]))[0]
 
 
 @dataclass(frozen=True, eq=False)

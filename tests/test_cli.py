@@ -226,6 +226,9 @@ INVALID_INPUTS = [
     (["spectrum", "--flux", "1/3", "--k-grid", "8"], 1024),
     (["spectrum", "--flux", "golden", "--depth", "4", "--k-grid", "8"], 1024),
     (["landau", "--n-max", "8"], 1024),
+    (["landau", "--r", "1", "--m", "1e-320"], None),
+    (["landau", "--r", "1e308", "--m", "1e-308"], None),
+    (["landau", "--r", "1e-320"], None),
 ] + [(argv + ["--out", _MISSING], None) for argv in _EVERY_COMMAND]
 
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from fluxlattice import spectral
+from fluxlattice.algebra import AlgebraElement, Monomial, generator, harper_element, multiply
 from fluxlattice.cli import main
-from fluxlattice.phases import TWO_PI, Flux, RationalFluxError
+from fluxlattice.phases import TWO_PI, ExactPhase, Flux, RationalFluxError
 from fluxlattice.spectral import (
     ButterflyDataset,
     approximant_spectra,
-    bloch_matrix,
     butterfly,
     flux_values,
     hausdorff_distance,
@@ -37,14 +37,46 @@ def random_reduced_fraction(q_max=12):
             return nu, q
 
 
+def bloch_at(nu, q, k1, k2):
+    """The Bloch matrix at one momentum pair."""
+    return spectral._bloch_stack(nu, q, np.array([k1]), np.array([k2]))[0]
+
+
+def reference_bloch_stack(num, q, k1, k2):
+    """Reference: the Harper Bloch stack entry by entry, as it was first
+    hand-coded: diagonal 2 cos(k2 + 2 pi num m / q), unit off-diagonals and
+    the corners e^{-+i q k1}."""
+    m = np.arange(q)
+    mats = np.zeros((len(k1), q, q), dtype=complex)
+    mats[:, m, m] = 2.0 * np.cos(k2[:, None] + TWO_PI * num * m[None, :] / q)
+    if q > 1:
+        idx = np.arange(q - 1)
+        mats[:, idx, idx + 1] += 1.0
+        mats[:, idx + 1, idx] += 1.0
+    corner = np.exp(-1j * q * k1)
+    mats[:, 0, q - 1] += corner
+    mats[:, q - 1, 0] += np.conj(corner)
+    return mats
+
+
+def same_stack_bits(a, b):
+    """Same shape and bit-identical complex entries, as `tobytes` compares
+    them (-0.0 does not match 0.0), without copying either stack."""
+    return a.dtype == b.dtype == complex and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reduced_fractions(q_max):
+    return [(nu, q) for q in range(1, q_max + 1) for nu in range(q) if math.gcd(nu, q) == 1]
+
+
 class TestBlochMatrix:
     def test_zero_flux_scalar(self):
-        m = bloch_matrix(0, 1, 0.3, 0.7)
+        m = bloch_at(0, 1, 0.3, 0.7)
         assert m.shape == (1, 1)
         assert abs(m[0, 0] - (2 * math.cos(0.3) + 2 * math.cos(0.7))) < 1e-14
 
     def test_half_flux_closed_form(self):
-        m = bloch_matrix(1, 2, 0.0, 0.0)
+        m = bloch_at(1, 2, 0.0, 0.0)
         assert np.allclose(m, [[2, 2], [2, -2]])
         assert np.allclose(np.linalg.eigvalsh(m), [-2 * math.sqrt(2), 2 * math.sqrt(2)])
 
@@ -52,16 +84,75 @@ class TestBlochMatrix:
         for _ in range(100):
             nu, q = random_reduced_fraction()
             k1, k2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
-            m = bloch_matrix(nu, q, k1, k2)
+            m = bloch_at(nu, q, k1, k2)
             assert np.max(np.abs(m - m.conj().T)) < 1e-14
 
     def test_rejects_non_reduced(self):
+        # the flux check every dataset reader applies before a Bloch stack is built
         with pytest.raises(ValueError, match="lowest terms"):
-            bloch_matrix(2, 4, 0.0, 0.0)
+            spectral._validate_fraction(2, 4)
         with pytest.raises(ValueError):
-            bloch_matrix(3, 2, 0.0, 0.0)
+            spectral._validate_fraction(3, 2)
         with pytest.raises(ValueError):
-            bloch_matrix(0, 0, 0.0, 0.0)
+            spectral._validate_fraction(0, 0)
+
+    @pytest.mark.parametrize("k_grid", [4, 5, 6, 7, 8, 10, 12, 16, 24, 40])
+    def test_grid_stacks_are_the_hand_coded_bytes(self, k_grid):
+        # the reduced grid the solve builds, for every reduced flux with q <= 30
+        ks = TWO_PI * np.arange(k_grid) / k_grid
+        for nu, q in reduced_fractions(30):
+            i = np.arange((k_grid // math.gcd(q, k_grid)) * k_grid)
+            k1, k2 = ks[i // k_grid], ks[i % k_grid]
+            assert same_stack_bits(spectral._bloch_stack(nu, q, k1, k2),
+                                   reference_bloch_stack(nu, q, k1, k2)), (nu, q)
+
+    def test_random_momenta_stacks_are_the_hand_coded_bytes(self):
+        gen = np.random.default_rng(0)
+        for nu, q in reduced_fractions(59):
+            k1, k2 = gen.uniform(0, TWO_PI, 50), gen.uniform(0, TWO_PI, 50)
+            assert same_stack_bits(spectral._bloch_stack(nu, q, k1, k2),
+                                   reference_bloch_stack(nu, q, k1, k2)), (nu, q)
+
+
+class TestRepresentation:
+    """_bloch_stack evaluates whatever element spectral._HAMILTONIAN holds;
+    on monomials it must be a representation of the q-pair relations."""
+
+    @staticmethod
+    def rep_at(monkeypatch, nu, q, k1, k2):
+        def rep(element):
+            monkeypatch.setattr(spectral, "_HAMILTONIAN", element)
+            return bloch_at(nu, q, k1, k2)
+        return rep
+
+    def test_reads_the_harper_element(self):
+        assert spectral._HAMILTONIAN == harper_element()
+
+    @pytest.mark.parametrize("nu,q", reduced_fractions(8))
+    def test_products_follow_the_algebra(self, monkeypatch, nu, q):
+        # rep(x) rep(y) = rep(x y), with multiply's exact reordering phases
+        # and shifts past q, so S D S^-1 D^-1 = e^{-i th} as in `algebra`
+        gen = random.Random(q * 100 + nu)
+        rep = self.rep_at(monkeypatch, nu, q, gen.uniform(0, TWO_PI), gen.uniform(0, TWO_PI))
+
+        def monomial():
+            return AlgebraElement([(complex(gen.uniform(-1, 1), gen.uniform(-1, 1)), Monomial(
+                (0, 0, gen.randint(-2 * q, 2 * q), gen.randint(-2 * q, 2 * q)),
+                ExactPhase(gen.randint(-5, 5), gen.randint(0, 1), 0)))])
+        for _ in range(5):
+            x, y = monomial(), monomial()
+            assert np.max(np.abs(rep(x) @ rep(y) - rep(multiply(x, y)))) < 1e-12
+        s, d = rep(generator("q1")), rep(generator("q2"))
+        commutator = s @ d @ s.conj().T @ d.conj().T
+        assert np.max(np.abs(commutator - np.exp(-1j * TWO_PI * nu / q) * np.eye(q))) < 1e-12
+
+    @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (1, 3), (3, 8)])
+    def test_kernel_acts_by_scalars(self, monkeypatch, nu, q):
+        # classify's kernel (qZ)^2: q1^q and q2^q are e^{i q k1} and e^{-i q k2}
+        k1, k2 = 0.37, 1.91
+        rep = self.rep_at(monkeypatch, nu, q, k1, k2)
+        assert np.max(np.abs(rep(generator("q1", q)) - np.exp(1j * q * k1) * np.eye(q))) < 1e-12
+        assert np.max(np.abs(rep(generator("q2", q)) - np.exp(-1j * q * k2) * np.eye(q))) < 1e-12
 
 
 class TestSpectrum:
@@ -105,7 +196,7 @@ class TestSpectrum:
             full = []
             for k1 in ks:
                 for k2 in ks:
-                    full.extend(np.linalg.eigvalsh(bloch_matrix(nu, q, k1, k2)))
+                    full.extend(np.linalg.eigvalsh(bloch_at(nu, q, k1, k2)))
             assert np.max(np.abs(est.samples - np.sort(full))) < 1e-12
 
     def test_irrational_rejected(self):
@@ -443,6 +534,26 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match=f"{flux[0]}/{flux[1]}|denominator"):
             reader(path)
 
+    @pytest.mark.parametrize("flux,message", [
+        ((2, 4), "lowest terms"),
+        ((1, 0), "denominator must be positive"),
+        ((3, 2), "must satisfy"),
+        ((-1, 2), "must satisfy"),
+    ], ids=["unreduced", "zero-den", "past-one", "negative"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reader_says_why_a_flux_is_refused(self, tmp_path, fmt, flux, message):
+        num, den = flux
+        path = tmp_path / f"bad.{fmt}"
+        if fmt == "csv":
+            path.write_text(f"phi_num,phi_den,energy\n0,1,0.5\n{num},{den},0.25\n")
+            reader = ButterflyDataset.from_csv
+        else:
+            path.write_text(json.dumps({"q_max": 4, "k_grid": 2, "points": [
+                {"phi": [0, 1], "E": 0.5}, {"phi": [num, den], "E": 0.25}]}))
+            reader = ButterflyDataset.from_json
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
     def test_nan_dataset_equals_itself_and_its_round_trips(self, tmp_path):
         ds = ButterflyDataset(2, 4, [(0, 1, np.array([-1.0, np.nan, 0.0])),
                                      (1, 2, np.array([np.nan, 2.0]))])
@@ -483,7 +594,7 @@ def held_rule(dens, k_grid):
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
         chunk = min(n_k, max(1, spectral._STACK_CHUNK_BYTES // (16 * q * q)))
         held += 8 * samples + 128 * q + 512
-        transient = max(transient, 8 * q * n_k + (chunk + 1) * (16 * q * q + 24 * q + 64))
+        transient = max(transient, 8 * q * n_k + (chunk + 1) * (16 * q * q + 56 * q + 64))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
