@@ -195,9 +195,17 @@ def _lorentz_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
     ]
 
 
-def _report(residuals: list[tuple[str, float, str]], tol: float) -> RelationReport:
+def _report(ops: LandauOperators, residuals_of, tol: float) -> RelationReport:
+    """The residuals as checks within tol.  Finite operators can still
+    overflow a product or a norm; a residual past the float range refuses
+    the parameters instead of failing a check."""
+    with np.errstate(all="ignore"):
+        residuals = residuals_of(ops)
     report = RelationReport()
     for name, residual, detail in residuals:
+        if not math.isfinite(residual):
+            raise ValueError(f"invalid parameters: r={ops.r} and m={ops.mass} "
+                             f"overflow the float range of {name}")
         report.add(name, residual < tol, None,
                    f"{detail}, interior residual {residual:.3e}")
     return report
@@ -206,10 +214,10 @@ def _report(residuals: list[tuple[str, float, str]], tol: float) -> RelationRepo
 def bracket_report(ops: LandauOperators) -> RelationReport:
     """Interior-block residuals of the defining Lie brackets and of the
     angular-momentum identity, within BRACKET_TOLERANCE."""
-    return _report(_bracket_residuals(ops), BRACKET_TOLERANCE)
+    return _report(ops, _bracket_residuals, BRACKET_TOLERANCE)
 
 
 def lorentz_check(ops: LandauOperators) -> RelationReport:
     """Heisenberg equations of motion, within LORENTZ_TOLERANCE: the velocity
     pair rotates at rate r/m while momenta and angular momentum are conserved."""
-    return _report(_lorentz_residuals(ops), LORENTZ_TOLERANCE)
+    return _report(ops, _lorentz_residuals, LORENTZ_TOLERANCE)

@@ -96,23 +96,43 @@ def _validate_fraction(num: int, den: int) -> None:
         raise ValueError(f"flux fraction {num}/{den} is not in lowest terms")
 
 
-def _bloch_stack(num: int, q: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+def _bloch_stack(num: int, q: int, k1: np.ndarray, k2: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Stack of Bloch matrices, one per (k1[i], k2[i]): _HAMILTONIAN in the
     representation q1 -> S, q2 -> D at flux num/q.  S sends site m to m - 1
     and closes the cycle with e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so
     S D S^-1 D^-1 = e^{-i th} as in `algebra`.  A term c * phase * q1^a q2^b
-    adds c * phase(th) * S^a D^b: column m lands in row (m - a) mod q."""
-    theta, m = TWO_PI * num / q, np.arange(q)
-    angle, qk1 = k2[:, None] + TWO_PI * num * m / q, q * k1[:, None]
-    mats = np.zeros((len(k1), q, q), dtype=complex)
+    adds c * phase(th) * S^a D^b: column m lands in row (m - a) mod q, times
+    e^{-i(b (k2 + th m) + w q k1)} after w wraps.  The columns with one wrap
+    count lie on a strided diagonal, added to in place.  Each exponential is
+    taken once: unwrapped columns need none when b = 0, and the term (a, -b)
+    conjugates the (a, b) term's, which keeps every bit.  Given `out`, the
+    stack is built in out[:len(k1)]."""
+    theta, n = TWO_PI * num / q, len(k1)
+    angle, qk1 = k2[:, None] + TWO_PI * num * np.arange(q) / q, q * k1[:, None]
+    mats = np.empty((n, q, q), dtype=complex) if out is None else out[:n]
+    mats[...] = 0
+    flat = mats.reshape(n, q * q)
+    taken = {}  # e^{-i b angle} on the unwrapped columns, by (a, b), until (a, -b) reads it
     # q2 terms first: at q = 1 all terms share one entry, summed in this
     # order as 2 cos(k2) + cos(k1) + cos(k1), bit for bit as hand-coded
     for c, mono in sorted(_HAMILTONIAN.terms(), key=lambda t: abs(t[1].exponents[2])):
         _j1, _j2, a, b = mono.exponents
-        wraps, rows = np.divmod(m - a, q)
-        entries = c * mono.phase.evaluate(theta) * np.exp(-1j * (b * angle + wraps * qk1))
-        mats[:, rows, m] += entries
-        del entries  # freed before the next term's are computed
+        coef = c * mono.phase.evaluate(theta)
+        for w in {-a // q, (q - 1 - a) // q}:
+            # columns lo..hi-1 land in rows m - a - w q, a stride of q + 1
+            lo, hi = max(0, a + w * q), min(q, a + (w + 1) * q)
+            start = lo * (q + 1) - (a + w * q) * q
+            block = flat[:, start:start + (hi - lo - 1) * (q + 1) + 1:q + 1]
+            if w:
+                block += coef * np.exp(-1j * (b * angle[:, lo:hi] + w * qk1))
+            elif b == 0:
+                block += coef
+            elif (a, -b) in taken:
+                block += coef * np.conj(taken.pop((a, -b)))
+            else:
+                taken[a, b] = np.exp(-1j * (b * angle[:, lo:hi]))
+                block += coef * taken[a, b]
     return mats
 
 
@@ -155,17 +175,18 @@ def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     replication factor gcd(q, k_grid).  The (k1, k2) points are solved in
     order, _STACK_CHUNK_BYTES of matrices at a time, into one (n_k, q)
     array, the only array of n_k rows it holds: each chunk takes its
-    momenta from the flat point index."""
+    momenta from the flat point index.  Every chunk is built in one buffer:
+    a fresh chunk each time could leave the allocator holding two."""
     ks = TWO_PI * np.arange(k_grid) / k_grid
     g = math.gcd(den, k_grid)
     n_k = (k_grid // g) * k_grid
     step = _chunk_length(den)
     eigs = np.empty((n_k, den))
+    chunk = np.empty((min(step, n_k), den, den), dtype=complex)
     for lo in range(0, n_k, step):
         i = np.arange(lo, min(lo + step, n_k))
-        # no name holds a chunk, so it is freed before the next one is built
         eigs[lo:lo + step] = np.linalg.eigvalsh(
-            _bloch_stack(num, den, ks[i // k_grid], ks[i % k_grid]))
+            _bloch_stack(num, den, ks[i // k_grid], ks[i % k_grid], chunk))
     return eigs, g
 
 
@@ -216,7 +237,7 @@ def _group_by_flux(rows: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
-# Rows per write.  Bounded chunks keep each transient string and float list
+# Rows per write.  Bounded chunks keep each transient string and run list
 # small enough to be reused; one chunk per flux left about 0.8 MB more
 # resident after `butterfly(12, 24).to_csv`.
 _ROWS_PER_WRITE = 256
@@ -236,15 +257,40 @@ def _json_point(obj: dict):
     raise ValueError(f"malformed butterfly point {obj!r}")
 
 
+def _runs(samples: np.ndarray) -> Iterator[tuple[list[float], list[int]]]:
+    """(values, counts) of the runs of equal bits in samples, one pair per
+    write of at most _ROWS_PER_WRITE rows; -0.0 and 0.0, or two NaN
+    payloads, are runs of their own.  One numpy pass finds the runs of 16
+    writes."""
+    block = 16 * _ROWS_PER_WRITE
+    for lo in range(0, samples.size, block):
+        part = samples[lo:lo + block]
+        bits = part.view(np.int64)
+        starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+        starts[::_ROWS_PER_WRITE] = True  # each write starts a run of its own
+        cuts = np.flatnonzero(starts)
+        values, counts = part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()
+        writes = [*np.flatnonzero(cuts % _ROWS_PER_WRITE == 0).tolist(), cuts.size]
+        for a, b in zip(writes, writes[1:]):
+            yield values[a:b], counts[a:b]
+
+
+def _json_number(e: float) -> str:
+    """e as json spells it: float.__repr__, or NaN, Infinity or -Infinity."""
+    return repr(e) if math.isfinite(e) else json.dumps(e)
+
+
 @dataclass
 class ButterflyDataset:
     """Rows (Phi = nu/q, eigenvalue sample) for every reduced flux with
     q <= q_max, ordered by (Phi ascending, energy ascending).
 
     `entries` holds one (nu, q, sorted float64 samples) triple per flux.
-    The CSV and JSON writers stream the rows in bounded chunks and write
-    the bytes a row-by-row writer and `json.dump` would; the readers parse
-    the rows into one record array and group it by runs of equal flux.
+    The CSV and JSON writers write the bytes a row-by-row writer and
+    `json.dump` would, at most _ROWS_PER_WRITE rows a write: within a write
+    the samples fall into runs of equal bits, and each run's energy is
+    formatted once and its row repeated.  The readers parse the rows into
+    one record array and group it by runs of equal flux.
     """
 
     q_max: int
@@ -265,20 +311,19 @@ class ButterflyDataset:
                         and np.array_equal(a[2], b[2], equal_nan=True)
                         for a, b in zip(self.entries, other.entries)))
 
-    def _chunks(self) -> Iterator[tuple[int, int, list[float]]]:
-        """(nu, q, samples as floats) in file order, _ROWS_PER_WRITE at a time."""
-        for num, den, samples in self.entries:
-            for lo in range(0, samples.size, _ROWS_PER_WRITE):
-                yield num, den, samples[lo:lo + _ROWS_PER_WRITE].tolist()
-
     def to_csv(self, path: str | Path) -> None:
         """Write `phi_num,phi_den,energy` rows, one joined string per chunk;
-        each energy is its shortest round-trip repr."""
+        each energy is its shortest round-trip repr, formatted once a run."""
         with open(path, "w") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for num, den, chunk in self._chunks():
+            for num, den, samples in self.entries:
                 prefix = f"{num},{den},"
-                fh.write(prefix + ("\n" + prefix).join(map(repr, chunk)) + "\n")
+                for values, counts in _runs(samples):
+                    if len(values) == sum(counts):  # no repeats: one join is faster
+                        fh.write(prefix + f"\n{prefix}".join(map(repr, values)) + "\n")
+                    else:
+                        fh.write("".join([f"{prefix}{e!r}\n" * n
+                                          for e, n in zip(values, counts)]))
 
     @classmethod
     def from_csv(cls, path: str | Path, q_max: int = 0, k_grid: int = 0) -> "ButterflyDataset":
@@ -300,15 +345,19 @@ class ButterflyDataset:
     def to_json(self, path: str | Path) -> None:
         """Write `{"q_max": .., "k_grid": .., "points": [{"phi": [nu, q],
         "E": e}, ...]}`, the bytes `json.dump` gives, one chunk at a time
-        through the C encoder; NaN and Infinity are spelled as json spells
-        them."""
+        from one row prefix per flux; NaN and Infinity are spelled as json
+        spells them."""
         head = json.dumps({"q_max": self.q_max, "k_grid": self.k_grid, "points": []})
-        chunks = (json.dumps([{"phi": [n, d], "E": e} for e in chunk])[1:-1]
-                  for n, d, chunk in self._chunks())
         with open(path, "w") as fh:
             fh.write(head[:-2])
-            for i, chunk in enumerate(chunks):
-                fh.write(", " + chunk if i else chunk)
+            sep = ""
+            for num, den, samples in self.entries:
+                prefix = f'{{"phi": [{num}, {den}], "E": '
+                for values, counts in _runs(samples):
+                    body = "".join([f"{prefix}{_json_number(e)}}}, " * n
+                                    for e, n in zip(values, counts)])
+                    fh.write(sep + body[:-2])
+                    sep = ", "
             fh.write("]}")
 
     @classmethod

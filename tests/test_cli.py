@@ -11,13 +11,23 @@ import pytest
 
 import fluxlattice
 from fluxlattice import spectral
-from fluxlattice.cli import main
+from fluxlattice.cli import build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, module="fluxlattice"):
+    """`python -m module argv...` in a fresh process that imports this
+    checkout's package."""
+    src = str(Path(fluxlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestClassify:
@@ -176,6 +186,27 @@ class TestLandau:
         assert len(errors) == 1 and errors[0].endswith(message)
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv,name", [
+        (["--r", "1e300"], "bracket_p1_p2"),
+        (["--m", "1e-300"], "lorentz_q1"),
+    ])
+    def test_overflowing_checks_are_usage_errors(self, argv, name):
+        # finite parameters whose residuals leave the float range: no numpy
+        # warning and no FAIL line, only the usage and one error line
+        proc = run_module("landau", *argv, "--n-max", "8", module="fluxlattice.cli")
+        assert proc.returncode == 2 and proc.stdout == ""
+        usage = build_parser().format_usage()
+        assert proc.stderr.startswith(usage)
+        [error] = proc.stderr[len(usage):].splitlines()
+        assert error.startswith("fluxlattice: error: invalid parameters")
+        assert error.endswith(f"overflow the float range of {name}")
+
+    def test_unit_parameters_still_pass(self):
+        proc = run_module("landau", "--r", "1", "--m", "1", "--n-max", "8",
+                          module="fluxlattice.cli")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "FAIL" not in proc.stdout and "lowest levels" in proc.stdout
+
 
 class TestGaugeCheck:
     def test_zero_units(self, capsys):
@@ -270,10 +301,14 @@ def test_non_finite_landau_parameter_named(capsys, option, name, value):
     (["butterfly", "--k-grid", "2"], 2),
 ])
 def test_process_exit_codes(argv, code):
-    src = str(Path(fluxlattice.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fluxlattice.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module(*argv, module="fluxlattice.cli")
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["classify", "--flux", "golden"],
+                                  ["verify", "--flux", "golden", "--corrupt"]])
+def test_package_runs_as_a_module(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -570,6 +570,51 @@ class TestAgainstReference:
                                           ds.entries[1]])
         assert shifted != ds
 
+    W = spectral._ROWS_PER_WRITE
+    NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FF0000000000001, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    RUNS = {
+        "run-longer-than-a-write": [(0, 1, np.array([-1.0, -1.0, *[0.1] * (3 * W + 5), 2.0]))],
+        "run-across-a-write": [(0, 1, np.concatenate(
+            [np.linspace(-2, 0, W - 3), [0.5] * 7, np.linspace(0.6, 2, W)]))],
+        "signed-zeros": [(0, 1, np.array([-1.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 1.0])),
+                         (1, 2, np.array([*[0.0] * (W - 1), -0.0, -0.0, 0.0]))],
+        "nan-payloads": [(0, 1, np.concatenate([[-1.0], NANS, NANS[::-1]]))],
+        "specials-and-an-empty-flux": [
+            (0, 1, np.array([-np.inf, -np.inf, -5e-324, 5e-324, 5e-324, np.inf, np.inf])),
+            (1, 3, np.array([], dtype=np.float64)),
+            (1, 2, np.array([5e-324] * (W + 1)))],
+    }
+
+    @pytest.mark.parametrize("entries", RUNS.values(), ids=RUNS.keys())
+    def test_runs_of_equal_bits_write_the_reference_bytes(self, tmp_path, entries):
+        # each run is formatted once and its line repeated; the bytes must
+        # be the row-by-row writer's and json.dump's
+        ds = ButterflyDataset(3, 4, entries)
+        ds.to_csv(tmp_path / "new.csv")
+        reference_to_csv(ds, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        ds.to_json(tmp_path / "new.json")
+        reference_to_json(ds, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("fmt,row", [("csv", "0,1,0.1\n"),
+                                         ("json", '{"phi": [0, 1], "E": 0.1}')],
+                             ids=["csv", "json"])
+    def test_one_long_run_is_written_in_bounded_pieces(self, tmp_path, fmt, row):
+        # 10^6 equal samples are one run; writing it whole would hold the
+        # whole file as one string (8 MB of CSV, 26 MB of JSON)
+        ds = ButterflyDataset(1, 4, [(0, 1, np.full(10**6, 0.1))])
+        path = tmp_path / f"long.{fmt}"
+        tracemalloc.start()
+        try:
+            getattr(ds, f"to_{fmt}")(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+        assert path.read_bytes().count(row.encode()) == 10**6
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_files_match_the_reference_writers(self, tmp_path, capsys, fmt):
         # the README example size
@@ -766,6 +811,19 @@ class TestChunkedSolve:
                 [n_k % per_chunk] if n_k % per_chunk else [])
             assert est.samples.tobytes() == ref_samples.tobytes()
             assert est.bands == ref_bands
+
+    def test_chunks_are_built_in_one_buffer(self, monkeypatch):
+        # a fresh chunk each time can leave the allocator holding two
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+
+        def keep(a):
+            stacks.append(a)
+            return eigvalsh(a)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * 16 * 3 * 3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", keep)
+        spectrum(Flux.rational(1, 3), 8)
+        assert [s.shape[0] for s in stacks] == [5] * 12 + [4]
+        assert all(np.shares_memory(s, stacks[0]) for s in stacks)
 
     def test_sort_then_repeat_is_the_tiled_sort(self):
         # every reduced flux with q <= 14 at grids that share all, some or no
