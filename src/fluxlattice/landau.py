@@ -199,7 +199,7 @@ def _report(ops: LandauOperators, residuals_of, tol: float) -> RelationReport:
     """The residuals as checks within tol.  Finite operators can still
     overflow a product or a norm; a residual past the float range refuses
     the parameters instead of failing a check."""
-    with np.errstate(all="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         residuals = residuals_of(ops)
     report = RelationReport()
     for name, residual, detail in residuals:
@@ -213,11 +213,13 @@ def _report(ops: LandauOperators, residuals_of, tol: float) -> RelationReport:
 
 def bracket_report(ops: LandauOperators) -> RelationReport:
     """Interior-block residuals of the defining Lie brackets and of the
-    angular-momentum identity, within BRACKET_TOLERANCE."""
+    angular-momentum identity, within BRACKET_TOLERANCE.  Raises ValueError
+    when a residual overflows the float range (finite r and m can)."""
     return _report(ops, _bracket_residuals, BRACKET_TOLERANCE)
 
 
 def lorentz_check(ops: LandauOperators) -> RelationReport:
     """Heisenberg equations of motion, within LORENTZ_TOLERANCE: the velocity
-    pair rotates at rate r/m while momenta and angular momentum are conserved."""
+    pair rotates at rate r/m while momenta and angular momentum are conserved.
+    Raises ValueError when a residual overflows the float range."""
     return _report(ops, _lorentz_residuals, LORENTZ_TOLERANCE)

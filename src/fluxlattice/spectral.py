@@ -97,43 +97,25 @@ def _validate_fraction(num: int, den: int) -> None:
 
 
 def _bloch_stack(num: int, q: int, k1: np.ndarray, k2: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Stack of Bloch matrices, one per (k1[i], k2[i]): _HAMILTONIAN in the
+                 out: np.ndarray) -> np.ndarray:
+    """Fill out, of shape (len(k1), q, q), with the stack of Bloch matrices
+    and return it, one per (k1[i], k2[i]): _HAMILTONIAN in the
     representation q1 -> S, q2 -> D at flux num/q.  S sends site m to m - 1
     and closes the cycle with e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so
     S D S^-1 D^-1 = e^{-i th} as in `algebra`.  A term c * phase * q1^a q2^b
-    adds c * phase(th) * S^a D^b: column m lands in row (m - a) mod q, times
-    e^{-i(b (k2 + th m) + w q k1)} after w wraps.  The columns with one wrap
-    count lie on a strided diagonal, added to in place.  Each exponential is
-    taken once: unwrapped columns need none when b = 0, and the term (a, -b)
-    conjugates the (a, b) term's, which keeps every bit.  Given `out`, the
-    stack is built in out[:len(k1)]."""
-    theta, n = TWO_PI * num / q, len(k1)
-    angle, qk1 = k2[:, None] + TWO_PI * num * np.arange(q) / q, q * k1[:, None]
-    mats = np.empty((n, q, q), dtype=complex) if out is None else out[:n]
-    mats[...] = 0
-    flat = mats.reshape(n, q * q)
-    taken = {}  # e^{-i b angle} on the unwrapped columns, by (a, b), until (a, -b) reads it
+    adds c * phase(th) * S^a D^b: column m lands in row (m - a) mod q."""
+    theta, m = TWO_PI * num / q, np.arange(q)
+    angle, qk1 = k2[:, None] + TWO_PI * num * m / q, q * k1[:, None]
+    out[...] = 0
     # q2 terms first: at q = 1 all terms share one entry, summed in this
     # order as 2 cos(k2) + cos(k1) + cos(k1), bit for bit as hand-coded
     for c, mono in sorted(_HAMILTONIAN.terms(), key=lambda t: abs(t[1].exponents[2])):
         _j1, _j2, a, b = mono.exponents
-        coef = c * mono.phase.evaluate(theta)
-        for w in {-a // q, (q - 1 - a) // q}:
-            # columns lo..hi-1 land in rows m - a - w q, a stride of q + 1
-            lo, hi = max(0, a + w * q), min(q, a + (w + 1) * q)
-            start = lo * (q + 1) - (a + w * q) * q
-            block = flat[:, start:start + (hi - lo - 1) * (q + 1) + 1:q + 1]
-            if w:
-                block += coef * np.exp(-1j * (b * angle[:, lo:hi] + w * qk1))
-            elif b == 0:
-                block += coef
-            elif (a, -b) in taken:
-                block += coef * np.conj(taken.pop((a, -b)))
-            else:
-                taken[a, b] = np.exp(-1j * (b * angle[:, lo:hi]))
-                block += coef * taken[a, b]
-    return mats
+        wraps, rows = np.divmod(m - a, q)
+        entries = c * mono.phase.evaluate(theta) * np.exp(-1j * (b * angle + wraps * qk1))
+        out[:, rows, m] += entries
+        del entries  # freed before the next term's are computed
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +158,7 @@ def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     order, _STACK_CHUNK_BYTES of matrices at a time, into one (n_k, q)
     array, the only array of n_k rows it holds: each chunk takes its
     momenta from the flat point index.  Every chunk is built in one buffer:
-    a fresh chunk each time could leave the allocator holding two."""
+    a fresh 4 MiB array per chunk can leave the allocator holding two."""
     ks = TWO_PI * np.arange(k_grid) / k_grid
     g = math.gcd(den, k_grid)
     n_k = (k_grid // g) * k_grid
@@ -186,7 +168,7 @@ def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
     for lo in range(0, n_k, step):
         i = np.arange(lo, min(lo + step, n_k))
         eigs[lo:lo + step] = np.linalg.eigvalsh(
-            _bloch_stack(num, den, ks[i // k_grid], ks[i % k_grid], chunk))
+            _bloch_stack(num, den, ks[i // k_grid], ks[i % k_grid], chunk[:i.size]))
     return eigs, g
 
 
@@ -260,19 +242,12 @@ def _json_point(obj: dict):
 def _runs(samples: np.ndarray) -> Iterator[tuple[list[float], list[int]]]:
     """(values, counts) of the runs of equal bits in samples, one pair per
     write of at most _ROWS_PER_WRITE rows; -0.0 and 0.0, or two NaN
-    payloads, are runs of their own.  One numpy pass finds the runs of 16
-    writes."""
-    block = 16 * _ROWS_PER_WRITE
-    for lo in range(0, samples.size, block):
-        part = samples[lo:lo + block]
+    payloads, are runs of their own."""
+    for lo in range(0, samples.size, _ROWS_PER_WRITE):
+        part = samples[lo:lo + _ROWS_PER_WRITE]
         bits = part.view(np.int64)
-        starts = np.concatenate(([True], bits[1:] != bits[:-1]))
-        starts[::_ROWS_PER_WRITE] = True  # each write starts a run of its own
-        cuts = np.flatnonzero(starts)
-        values, counts = part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()
-        writes = [*np.flatnonzero(cuts % _ROWS_PER_WRITE == 0).tolist(), cuts.size]
-        for a, b in zip(writes, writes[1:]):
-            yield values[a:b], counts[a:b]
+        cuts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        yield part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()
 
 
 def _json_number(e: float) -> str:
@@ -312,18 +287,15 @@ class ButterflyDataset:
                         for a, b in zip(self.entries, other.entries)))
 
     def to_csv(self, path: str | Path) -> None:
-        """Write `phi_num,phi_den,energy` rows, one joined string per chunk;
+        """Write `phi_num,phi_den,energy` rows, one joined string per write;
         each energy is its shortest round-trip repr, formatted once a run."""
         with open(path, "w") as fh:
             fh.write(_CSV_HEADER + "\n")
             for num, den, samples in self.entries:
                 prefix = f"{num},{den},"
                 for values, counts in _runs(samples):
-                    if len(values) == sum(counts):  # no repeats: one join is faster
-                        fh.write(prefix + f"\n{prefix}".join(map(repr, values)) + "\n")
-                    else:
-                        fh.write("".join([f"{prefix}{e!r}\n" * n
-                                          for e, n in zip(values, counts)]))
+                    fh.write("".join([f"{prefix}{e!r}\n" * n
+                                      for e, n in zip(values, counts)]))
 
     @classmethod
     def from_csv(cls, path: str | Path, q_max: int = 0, k_grid: int = 0) -> "ButterflyDataset":

@@ -1,6 +1,7 @@
 """Truncated-oscillator checks of the continuum theory."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestMotion:
         assert all(line.startswith("RELATION ") for line in text.splitlines())
         for entry in report.to_json_dict():
             assert set(entry) == {"relation", "holds", "witness_site"}
+
+    @pytest.mark.parametrize("check,r,m,name", [
+        (bracket_report, 1e300, 1.0, "bracket_p1_p2"),
+        (lorentz_check, 1.0, 1e-300, "lorentz_q1"),
+    ])
+    def test_overflowing_residuals_raise(self, check, r, m, name):
+        # finite factors whose residuals leave the float range are refused,
+        # without a numpy warning, instead of reported as a failed check
+        ops = build_landau(r, m, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"overflow the float range of {name}"):
+                check(ops)
 
 
 class TestTruncationTrend:

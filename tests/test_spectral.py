@@ -37,9 +37,14 @@ def random_reduced_fraction(q_max=12):
             return nu, q
 
 
+def bloch_stack(nu, q, k1, k2):
+    """The Bloch stack at momenta (k1[i], k2[i]), built in a fresh buffer."""
+    return spectral._bloch_stack(nu, q, k1, k2, np.empty((len(k1), q, q), dtype=complex))
+
+
 def bloch_at(nu, q, k1, k2):
     """The Bloch matrix at one momentum pair."""
-    return spectral._bloch_stack(nu, q, np.array([k1]), np.array([k2]))[0]
+    return bloch_stack(nu, q, np.array([k1]), np.array([k2]))[0]
 
 
 def reference_bloch_stack(num, q, k1, k2):
@@ -103,14 +108,14 @@ class TestBlochMatrix:
         for nu, q in reduced_fractions(30):
             i = np.arange((k_grid // math.gcd(q, k_grid)) * k_grid)
             k1, k2 = ks[i // k_grid], ks[i % k_grid]
-            assert same_stack_bits(spectral._bloch_stack(nu, q, k1, k2),
+            assert same_stack_bits(bloch_stack(nu, q, k1, k2),
                                    reference_bloch_stack(nu, q, k1, k2)), (nu, q)
 
     def test_random_momenta_stacks_are_the_hand_coded_bytes(self):
         gen = np.random.default_rng(0)
         for nu, q in reduced_fractions(59):
             k1, k2 = gen.uniform(0, TWO_PI, 50), gen.uniform(0, TWO_PI, 50)
-            assert same_stack_bits(spectral._bloch_stack(nu, q, k1, k2),
+            assert same_stack_bits(bloch_stack(nu, q, k1, k2),
                                    reference_bloch_stack(nu, q, k1, k2)), (nu, q)
 
 
@@ -771,7 +776,7 @@ def reference_solve_reduced(num, den, k_grid):
     ks = TWO_PI * np.arange(k_grid) / k_grid
     g = math.gcd(den, k_grid)
     kk1, kk2 = np.meshgrid(ks[: k_grid // g], ks, indexing="ij")
-    return np.linalg.eigvalsh(spectral._bloch_stack(num, den, kk1.ravel(), kk2.ravel())), g
+    return np.linalg.eigvalsh(bloch_stack(num, den, kk1.ravel(), kk2.ravel())), g
 
 
 def reference_spectrum(num, den, k_grid):
@@ -921,7 +926,6 @@ class TestTorusConsistency:
         # the full 2pi/L grid (w must be even when nu is odd, or the phases
         # do not close around the torus)
         import fluxlattice as fl
-        from fluxlattice.spectral import _bloch_stack
 
         flux = Flux.rational(nu, q)
         L = q * w
@@ -932,7 +936,7 @@ class TestTorusConsistency:
         torus = np.sort(np.linalg.eigvalsh(m1 + m1.conj().T + m2 + m2.conj().T))
         k1s = np.repeat(2 * np.pi * np.arange(w) / L, L)
         k2s = np.tile(2 * np.pi * np.arange(L) / L, w)
-        bloch = np.sort(np.linalg.eigvalsh(_bloch_stack(nu, q, k1s, k2s)).ravel())
+        bloch = np.sort(np.linalg.eigvalsh(bloch_stack(nu, q, k1s, k2s)).ravel())
         assert torus.size == L * L
         assert np.max(np.abs(torus - bloch)) < 1e-9
 
