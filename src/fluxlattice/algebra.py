@@ -102,10 +102,18 @@ class AlgebraElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[complex, Monomial]] = ()):
+        # a new monomial is hashed once, by the setdefault that stores it
+        # (hashing runs ExactPhase.__hash__ in Python); 0.0 + stores a -0.0
+        # part as 0.0, as summing from zero does
         acc: dict[Monomial, complex] = {}
         for coeff, mono in terms:
-            acc[mono] = acc.get(mono, 0.0) + complex(coeff)
-        self._terms = {m: c for m, c in acc.items() if c != 0}
+            size = len(acc)
+            total = acc.setdefault(mono, 0.0 + complex(coeff))
+            if len(acc) == size:
+                acc[mono] = total + complex(coeff)
+        for mono in [m for m, c in acc.items() if c == 0]:
+            del acc[mono]
+        self._terms = acc
 
     def terms(self) -> list[tuple[complex, Monomial]]:
         return [(c, m) for m, c in self._terms.items()]

@@ -5,9 +5,20 @@ At flux nu/q the Bloch matrices are the hopping element
 magnetic translations at momenta (k1, k2): diagonal 2*cos(k2 + 2*pi*nu*m/q),
 unit super/subdiagonals and corners e^{-+ i q k1}.  A matrix depends on k1
 only through e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q;
-the sweep solves one representative per residue class of the uniform grid,
+`spectrum` solves one representative per residue class of the uniform grid,
 sorts those eigenvalues and repeats each one gcd(q, k_grid) times, which
 never changes the reported samples.
+
+Its eigenvalues depend on (k1, k2) only through cos(q k1) + cos(q k2)
+(Chambers, Phys. Rev. 140, A135 (1965)).  On the grid k = 2*pi*j/k_grid,
+cos(q k) depends only on the residue q*j mod k_grid folded under
+r <-> k_grid - r, so `butterfly` solves one matrix per unordered pair of
+folded residues, at (k1, k2) = 2*pi*(f1, f2)/(q*k_grid), and repeats its
+eigenvalues by the pair's number of grid points.  The samples agree with
+the per-point solve to about 5e-14, not bit for bit.  `spectrum` keeps the
+per-point solve: its band edges are grid extrema, and at even q the two
+central bands touch within about 1e-15, so whether they merge rests on
+those last bits.
 
 Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
 one) through the same LAPACK call as one batched call, so the eigenvalues
@@ -21,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -72,9 +83,9 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
     """Check k_grid, then refuse at the first q over budget a request that
     solves one flux per q in `dens`, so a lazy sweep is never listed whole.
     Each flux holds its samples, 128 bytes a band and 512 of objects; on top
-    come the largest solve transient (the reduced eigenvalues, and one chunk
-    of matrices with their row temporaries, plus one more matrix) and
-    _SLACK_BYTES."""
+    come the largest solve transient (the reduced eigenvalues, which bound
+    a butterfly flux's class eigenvalues too, and one chunk of matrices with
+    their row temporaries, plus one more matrix) and _SLACK_BYTES."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
@@ -152,24 +163,43 @@ def _merge_bands(band_ranges: list[tuple[float, float]]) -> tuple[tuple[float, f
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def _solve_reduced(num: int, den: int, k_grid: int) -> tuple[np.ndarray, int]:
-    """Eigenvalues over one k1 representative per residue class, and the
-    replication factor gcd(q, k_grid).  The (k1, k2) points are solved in
-    order, _STACK_CHUNK_BYTES of matrices at a time, into one (n_k, q)
-    array, the only array of n_k rows it holds: each chunk takes its
-    momenta from the flat point index.  Every chunk is built in one buffer:
-    a fresh 4 MiB array per chunk can leave the allocator holding two."""
-    ks = TWO_PI * np.arange(k_grid) / k_grid
-    g = math.gcd(den, k_grid)
-    n_k = (k_grid // g) * k_grid
+def _solve_points(num: int, den: int, n: int,
+                  momenta: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Eigenvalues of the n Bloch matrices at the momenta (k1, k2) =
+    momenta(i) of the point indices i = 0 .. n - 1, solved in order,
+    _STACK_CHUNK_BYTES of matrices at a time, into one (n, q) array: each
+    chunk asks for its own momenta, so no array of n momenta is held.  Every
+    chunk is built in one buffer: a fresh 4 MiB array per chunk can leave
+    the allocator holding two."""
     step = _chunk_length(den)
-    eigs = np.empty((n_k, den))
-    chunk = np.empty((min(step, n_k), den, den), dtype=complex)
-    for lo in range(0, n_k, step):
-        i = np.arange(lo, min(lo + step, n_k))
+    eigs = np.empty((n, den))
+    chunk = np.empty((min(step, n), den, den), dtype=complex)
+    for lo in range(0, n, step):
+        k1, k2 = momenta(np.arange(lo, min(lo + step, n)))
         eigs[lo:lo + step] = np.linalg.eigvalsh(
-            _bloch_stack(num, den, ks[i // k_grid], ks[i % k_grid], chunk[:i.size]))
-    return eigs, g
+            _bloch_stack(num, den, k1, k2, chunk[:k1.size]))
+    return eigs
+
+
+def _chambers_classes(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The folded residues f1 <= f2 of every Chambers class of the k_grid x
+    k_grid grid at denominator den, and its number of grid points: j has
+    residue den*j mod k_grid, folded under r <-> k_grid - r, and a class is
+    an unordered pair of folded residues."""
+    r = den * np.arange(k_grid) % k_grid
+    per_residue = np.bincount(np.minimum(r, k_grid - r))
+    folded = np.flatnonzero(per_residue)
+    a, b = np.triu_indices(folded.size)
+    counts = per_residue[folded[a]] * per_residue[folded[b]] * np.where(a == b, 1, 2)
+    return folded[a], folded[b], counts
+
+
+def _solve_classes(num: int, den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one Bloch matrix per Chambers class, at (k1, k2) =
+    2*pi*(f1, f2)/(q*k_grid), and each class's number of grid points."""
+    f1, f2, counts = _chambers_classes(den, k_grid)
+    scale = TWO_PI / (den * k_grid)
+    return _solve_points(num, den, counts.size, lambda i: (scale * f1[i], scale * f2[i])), counts
 
 
 def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
@@ -179,7 +209,11 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
                          "for an irrational one")
     num, den = flux.numerator, flux.denominator
     _require_held([den], k_grid, "the spectrum")
-    eigs, g = _solve_reduced(num, den, k_grid)
+    # one k1 representative per residue class, each solved once
+    ks = TWO_PI * np.arange(k_grid) / k_grid
+    g = math.gcd(den, k_grid)
+    eigs = _solve_points(num, den, (k_grid // g) * k_grid,
+                         lambda i: (ks[i // k_grid], ks[i % k_grid]))
     bands = _merge_bands(list(zip(eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist())))
     flat = eigs.ravel()
     flat.sort()
@@ -372,12 +406,17 @@ class ButterflyDataset:
 
 
 def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
-    """Harper spectra for every reduced flux with denominator up to q_max."""
+    """Harper spectra for every reduced flux with denominator up to q_max,
+    one Bloch solve per Chambers class."""
     _require_held((q for _nu, q in _reduced_fluxes(q_max)), k_grid, "the butterfly sweep")
-    return ButterflyDataset(q_max, k_grid, [
-        (phi.numerator, phi.denominator,
-         spectrum(Flux.rational(phi.numerator, phi.denominator), k_grid).samples)
-        for phi in flux_values(q_max)])
+    entries = []
+    for phi in flux_values(q_max):
+        num, den = phi.numerator, phi.denominator
+        eigs, counts = _solve_classes(num, den, k_grid)
+        samples = np.repeat(eigs, counts, axis=0).ravel()
+        samples.sort()
+        entries.append((num, den, samples))
+    return ButterflyDataset(q_max, k_grid, entries)
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -48,6 +48,39 @@ def random_element(n_terms=3):
     return AlgebraElement(terms)
 
 
+def reference_terms(terms):
+    """Reference canonical form, as first written: sum the coefficients per
+    monomial in first-seen order, then drop the zero sums."""
+    acc = {}
+    for coeff, m in terms:
+        acc[m] = acc.get(m, 0.0) + complex(coeff)
+    return [(c, m) for m, c in acc.items() if c != 0]
+
+
+class TestCanonicalForm:
+    def test_terms_match_the_reference(self):
+        # few monomials, so most lists repeat one; small integers cancel
+        # exactly, also before a monomial comes back; repr tells -0.0 parts
+        # from 0.0
+        gen = random.Random(7)
+        parts = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
+        for _ in range(300):
+            terms = [(complex(gen.choice(parts), gen.choice(parts)),
+                      Monomial((gen.randint(0, 1), 0, gen.randint(-1, 1), 0),
+                               ExactPhase(gen.randint(0, 1), 0, 0)))
+                     for _ in range(gen.randint(0, 12))]
+            assert repr(AlgebraElement(terms).terms()) == repr(reference_terms(terms))
+
+    def test_each_term_is_hashed_once(self, monkeypatch):
+        hashes = []
+        phase_hash = ExactPhase.__hash__
+        monkeypatch.setattr(ExactPhase, "__hash__",
+                            lambda ph: hashes.append(ph) or phase_hash(ph))
+        terms = [(1.0, Monomial((j, 0, 1, 0), ExactPhase(j, 0, 0))) for j in range(5)]
+        AlgebraElement(terms)
+        assert len(hashes) == 5
+
+
 class TestMultiply:
     def test_transposition_phase(self):
         p1, p2 = generator("p1"), generator("p2")

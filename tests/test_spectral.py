@@ -1,5 +1,6 @@
 """Bloch matrices, Harper spectra, butterfly datasets and approximants."""
 
+import hashlib
 import json
 import math
 import random
@@ -868,8 +869,71 @@ class TestChunkedSolve:
     def test_small_stacks_are_one_call(self, monkeypatch):
         shapes = count_eigvalsh(monkeypatch)
         butterfly(3, 6)
-        # 0/1, 1/3, 1/2 and 2/3, each over its whole reduced grid
-        assert shapes == [(36, 1, 1), (12, 3, 3), (18, 2, 2), (12, 3, 3)]
+        # 0/1, 1/3, 1/2 and 2/3, each over all its Chambers classes: folded
+        # residues {0, 1, 2, 3} at q = 1, {0, 3} at q = 3 and {0, 2} at q = 2
+        assert shapes == [(10, 1, 1), (3, 3, 3), (3, 2, 2), (3, 3, 3)]
+
+
+def class_deviation(nu, q, k_grid):
+    """Largest distance between the class solve's samples, each class's
+    eigenvalues repeated by its count, and the per-point reference."""
+    eigs, counts = spectral._solve_classes(nu, q, k_grid)
+    assert counts.sum() == k_grid ** 2
+    samples = np.sort(np.repeat(eigs, counts, axis=0).ravel())
+    return float(np.max(np.abs(samples - reference_spectrum(nu, q, k_grid)[0])))
+
+
+class TestChambersClasses:
+    @pytest.mark.parametrize("k_grid", [4, 5, 6, 7, 8, 12, 16, 24, 40])
+    def test_class_solve_is_the_per_point_solve(self, k_grid):
+        for nu, q in reduced_fractions(30):
+            assert class_deviation(nu, q, k_grid) < 1e-12, (nu, q, k_grid)
+
+    def test_a_key_without_the_second_residue_fails(self, monkeypatch):
+        # negative control: one class per first folded residue, solved at
+        # k2 = 0, keeps the counts but not the samples
+        classes = spectral._chambers_classes
+
+        def first_residue_only(den, k_grid):
+            f1, _f2, counts = classes(den, k_grid)
+            firsts, key = np.unique(f1, return_inverse=True)
+            return firsts, np.zeros_like(firsts), np.bincount(key, weights=counts).astype(int)
+        monkeypatch.setattr(spectral, "_chambers_classes", first_residue_only)
+        assert class_deviation(1, 3, 8) > 1e-3
+
+    def test_butterfly_samples_are_the_per_point_samples(self):
+        ds = butterfly(8, 12)
+        assert [(n, d) for n, d, _s in ds.entries] == [
+            (f.numerator, f.denominator) for f in flux_values(8)]
+        for nu, q, samples in ds.entries:
+            assert samples.size == q * 144
+            assert np.max(np.abs(samples - reference_spectrum(nu, q, 12)[0])) < 1e-12
+
+    def test_butterfly_sizes_its_sweep_once(self, monkeypatch):
+        walks = []
+        require_held = spectral._require_held
+        monkeypatch.setattr(spectral, "_require_held",
+                            lambda *args: walks.append(args) or require_held(*args))
+        butterfly(5, 8)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("request_,sha256", [
+        (lambda: approximant_spectra(Flux.golden(), 10, 16).spectra,
+         "f80dbf6bfd09a173b00981be90b53f30270443ae11f5148c422d4c3a7bf8d51f"),
+        (lambda: approximant_spectra(Flux.sqrt2(), 6, 12).spectra,
+         "509a278d8b7e187e8d5dfcd2b7f4f7c6f770c01d435da7bf2ee0bbff2b74bf2e"),
+        (lambda: [spectrum(Flux.rational(70, 169), 12)],
+         "8abff24329a37c9126e46ecfc028b35436239ecbb61a29cd9c4129463ca58327"),
+    ], ids=["golden 10 k16", "sqrt2 6 k12", "spectrum 70/169 k12"])
+    def test_spectrum_keeps_the_per_point_bits(self, request_, sha256):
+        # the samples and bands of the per-point solve, as numpy 2.4.6 with
+        # its bundled OpenBLAS computes them; the class solve would move the
+        # samples by about 1e-14 and report 8 bands, not 7, at golden 5/8
+        digest = hashlib.sha256()
+        for est in request_():
+            digest.update(est.samples.tobytes())
+            digest.update(repr(est.bands).encode())
+        assert digest.hexdigest() == sha256
 
 
 class TestHausdorff:
