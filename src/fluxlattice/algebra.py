@@ -20,6 +20,7 @@ stay exact.  Equality compares (exponents, phase) term keys exactly.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .phases import ExactPhase, Flux
@@ -190,11 +191,8 @@ def scalar(coeff: complex) -> AlgebraElement:
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the group algebra, distributed over terms and re-normal-
     ordered with exact phases."""
-    out = []
-    for cx, mx in x.terms():
-        for cy, my in y.terms():
-            out.append((cx * cy, _mono_product(mx, my)))
-    return AlgebraElement(out)
+    return AlgebraElement([(cx * cy, _mono_product(mx, my))
+                           for (cx, mx), (cy, my) in product(x.terms(), y.terms())])
 
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:

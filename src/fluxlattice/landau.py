@@ -123,6 +123,8 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
 
 def _mode_spectrum(ops: LandauOperators, n_levels: int, n_max_needed: int) -> np.ndarray:
     """Every eigenvalue of ham_mode, once the truncation holds n_levels."""
+    if n_levels < 0:
+        raise ValueError(f"n_levels must be >= 0, got {n_levels}")
     if ops.n_max < n_max_needed:
         raise ValueError(f"truncation too small: n_levels={n_levels} needs "
                          f"n_max >= {n_max_needed}")

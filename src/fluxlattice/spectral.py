@@ -273,15 +273,20 @@ def _json_point(obj: dict):
     raise ValueError(f"malformed butterfly point {obj!r}")
 
 
-def _runs(samples: np.ndarray) -> Iterator[tuple[list[float], list[int]]]:
-    """(values, counts) of the runs of equal bits in samples, one pair per
-    write of at most _ROWS_PER_WRITE rows; -0.0 and 0.0, or two NaN
+def _rows(entries: list[tuple[int, int, np.ndarray]], head: str,
+          number: Callable[[float], str], tail: str) -> Iterator[str]:
+    """Each row `head.format(nu, q) + number(e) + tail` of entries, one joined
+    string per write of at most _ROWS_PER_WRITE rows of a flux; each run of
+    equal bits is formatted once and repeated, and -0.0 and 0.0, or two NaN
     payloads, are runs of their own."""
-    for lo in range(0, samples.size, _ROWS_PER_WRITE):
-        part = samples[lo:lo + _ROWS_PER_WRITE]
-        bits = part.view(np.int64)
-        cuts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-        yield part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()
+    for num, den, samples in entries:
+        prefix = head.format(num, den)
+        for lo in range(0, samples.size, _ROWS_PER_WRITE):
+            part = samples[lo:lo + _ROWS_PER_WRITE]
+            bits = part.view(np.int64)
+            cuts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+            yield "".join([f"{prefix}{number(e)}{tail}" * n for e, n in zip(
+                part[cuts].tolist(), np.diff(cuts, append=part.size).tolist())])
 
 
 def _json_number(e: float) -> str:
@@ -295,11 +300,11 @@ class ButterflyDataset:
     q <= q_max, ordered by (Phi ascending, energy ascending).
 
     `entries` holds one (nu, q, sorted float64 samples) triple per flux.
-    The CSV and JSON writers write the bytes a row-by-row writer and
-    `json.dump` would, at most _ROWS_PER_WRITE rows a write: within a write
-    the samples fall into runs of equal bits, and each run's energy is
-    formatted once and its row repeated.  The readers parse the rows into
-    one record array and group it by runs of equal flux.
+    Both writers take their rows from one generator, `_rows`, and write the
+    bytes a row-by-row writer and `json.dump` would, at most _ROWS_PER_WRITE
+    rows a write: within a write the samples fall into runs of equal bits,
+    and each run's row is formatted once and repeated.  The readers parse
+    the rows into one record array and group it by runs of equal flux.
     """
 
     q_max: int
@@ -321,15 +326,11 @@ class ButterflyDataset:
                         for a, b in zip(self.entries, other.entries)))
 
     def to_csv(self, path: str | Path) -> None:
-        """Write `phi_num,phi_den,energy` rows, one joined string per write;
-        each energy is its shortest round-trip repr, formatted once a run."""
+        """Write `phi_num,phi_den,energy` rows through `_rows`; each energy is
+        its shortest round-trip repr."""
         with open(path, "w") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for num, den, samples in self.entries:
-                prefix = f"{num},{den},"
-                for values, counts in _runs(samples):
-                    fh.write("".join([f"{prefix}{e!r}\n" * n
-                                      for e, n in zip(values, counts)]))
+            fh.writelines(_rows(self.entries, "{},{},", repr, "\n"))
 
     @classmethod
     def from_csv(cls, path: str | Path, q_max: int = 0, k_grid: int = 0) -> "ButterflyDataset":
@@ -350,20 +351,15 @@ class ButterflyDataset:
 
     def to_json(self, path: str | Path) -> None:
         """Write `{"q_max": .., "k_grid": .., "points": [{"phi": [nu, q],
-        "E": e}, ...]}`, the bytes `json.dump` gives, one chunk at a time
-        from one row prefix per flux; NaN and Infinity are spelled as json
-        spells them."""
+        "E": e}, ...]}`, the bytes `json.dump` gives, through `_rows`: each
+        point follows its `", "` separator, which the first write drops.  NaN
+        and Infinity are spelled as json spells them."""
         head = json.dumps({"q_max": self.q_max, "k_grid": self.k_grid, "points": []})
+        rows = _rows(self.entries, ', {{"phi": [{}, {}], "E": ', _json_number, "}")
         with open(path, "w") as fh:
             fh.write(head[:-2])
-            sep = ""
-            for num, den, samples in self.entries:
-                prefix = f'{{"phi": [{num}, {den}], "E": '
-                for values, counts in _runs(samples):
-                    body = "".join([f"{prefix}{_json_number(e)}}}, " * n
-                                    for e, n in zip(values, counts)])
-                    fh.write(sep + body[:-2])
-                    sep = ", "
+            fh.write(next(rows, ", ")[2:])
+            fh.writelines(rows)
             fh.write("]}")
 
     @classmethod

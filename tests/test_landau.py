@@ -142,6 +142,14 @@ class TestSpectrum:
         assert len(hamiltonian_spectrum(ops, 6)) == 6
         assert level_degeneracies(build_landau(1.0, 1.0, 9), 4) == [9] * 4
 
+    @pytest.mark.parametrize("count", [hamiltonian_spectrum, level_degeneracies])
+    def test_negative_level_count_is_refused(self, count):
+        # [:n_levels] would slice from the end and return the wrong levels
+        ops = build_landau(1.0, 1.0, 10)
+        with pytest.raises(ValueError, match="n_levels"):
+            count(ops, -1)
+        assert len(count(ops, 0)) == 0
+
 
 class TestMotion:
     def test_lorentz_residuals(self):

@@ -590,6 +590,11 @@ class TestAgainstReference:
             (0, 1, np.array([-np.inf, -np.inf, -5e-324, 5e-324, 5e-324, np.inf, np.inf])),
             (1, 3, np.array([], dtype=np.float64)),
             (1, 2, np.array([5e-324] * (W + 1)))],
+        # the first write is not the first flux's
+        "empty-first-flux": [(0, 1, np.array([], dtype=np.float64)),
+                             (1, 2, np.array([-0.5, 0.0, 0.0, 0.5]))],
+        "only-empty-fluxes": [(0, 1, np.array([], dtype=np.float64)),
+                              (1, 2, np.array([], dtype=np.float64))],
     }
 
     @pytest.mark.parametrize("entries", RUNS.values(), ids=RUNS.keys())
