@@ -36,6 +36,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -235,21 +236,70 @@ def flux_values(q_max: int) -> list[Fraction]:
 _ROW = np.dtype([("num", np.int64), ("den", np.int64), ("energy", np.float64)])
 
 
-def _group_by_flux(rows: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """Per-flux sample arrays from `_ROW` records, in ascending Phi.  Each
-    run of equal (nu, q) is one slice; the runs of a flux are joined in file
-    order, so interleaved rows group as well.  A (nu, q) that is not a
-    reduced flux in [0, 1) raises ValueError."""
-    nums, dens = rows["num"], rows["den"]
-    starts = np.flatnonzero((nums[1:] != nums[:-1]) | (dens[1:] != dens[:-1])) + 1
-    bounds = [0, *starts.tolist(), rows.size] if rows.size else []
-    runs: dict[tuple[int, int], list[np.ndarray]] = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        runs.setdefault((int(nums[lo]), int(dens[lo])), []).append(rows["energy"][lo:hi])
+def _group_by_flux(blocks: Iterable[tuple[np.ndarray, np.ndarray | None]]
+                   ) -> list[tuple[int, int, np.ndarray]]:
+    """Per-flux sample arrays, in ascending Phi, from blocks of `_ROW`
+    records and their run lengths: each record's energy stands for as many
+    samples as its run length (one where the lengths are None).  Each run
+    of equal (nu, q) in a block is one part; the parts of a flux are joined
+    in file order, so interleaved rows group as well.  A (nu, q) that is
+    not a reduced flux in [0, 1) raises ValueError."""
+    runs: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray | None]]] = {}
+    for rows, counts in blocks:
+        # a copy, so no part holds its block's records
+        nums, dens, energies = rows["num"], rows["den"], rows["energy"].copy()
+        starts = np.flatnonzero((nums[1:] != nums[:-1]) | (dens[1:] != dens[:-1])) + 1
+        bounds = [0, *starts.tolist(), rows.size] if rows.size else []
+        for lo, hi in zip(bounds, bounds[1:]):
+            runs.setdefault((int(nums[lo]), int(dens[lo])), []).append(
+                (energies[lo:hi], None if counts is None else counts[lo:hi]))
     for num, den in runs:
         _validate_fraction(num, den)
-    return [(n, d, np.concatenate(parts)) for (n, d), parts in sorted(
-        runs.items(), key=lambda item: Fraction(*item[0]))]
+    # each flux's parts are dropped once joined
+    return [(n, d, _expand(runs.pop((n, d)))) for n, d in sorted(
+        runs, key=lambda flux: Fraction(*flux))]
+
+
+def _expand(parts: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
+    """The samples of (energies, run lengths) parts, in order, written into
+    one array so that at most one part is ever held expanded."""
+    out = np.empty(sum(e.size if c is None else int(c.sum()) for e, c in parts))
+    pos = 0
+    for energies, counts in parts:
+        piece = energies if counts is None else np.repeat(energies, counts)
+        out[pos:pos + piece.size] = piece
+        pos += piece.size
+    return out
+
+
+# Bytes of CSV lines the reader takes at once; readlines stops at the line
+# that reaches it.
+_READ_BYTES = 1 << 16
+
+
+def _csv_blocks(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """(`_ROW` records, run lengths) of the CSV body from fh, read in blocks
+    of about _READ_BYTES of lines: empty lines are dropped, and of each
+    run of equal consecutive lines only the first is parsed, by np.loadtxt,
+    since equal lines parse to equal bits.  A block without repeats has
+    None for its run lengths.  A malformed row raises numpy's
+    ValueError, which names the row by its index in the whole body."""
+    body = fh.tell()
+    while block := fh.readlines(_READ_BYTES):
+        lines = np.array([line for line in block if line != "\n"], dtype=object)
+        if not lines.size:
+            continue
+        cuts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+        try:
+            records = np.loadtxt(lines[cuts].tolist(), dtype=_ROW, delimiter=",",
+                                 comments=None, ndmin=1)
+        except ValueError:
+            # numpy counts the rows of what it is given; parse the whole
+            # body so that the message names the row in the file
+            fh.seek(body)
+            np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            raise
+        yield records, np.diff(cuts, append=lines.size) if cuts.size < lines.size else None
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
@@ -303,8 +353,10 @@ class ButterflyDataset:
     Both writers take their rows from one generator, `_rows`, and write the
     bytes a row-by-row writer and `json.dump` would, at most _ROWS_PER_WRITE
     rows a write: within a write the samples fall into runs of equal bits,
-    and each run's row is formatted once and repeated.  The readers parse
-    the rows into one record array and group it by runs of equal flux.
+    and each run's row is formatted once and repeated.  `from_csv` parses
+    only the first of each run of equal lines, in blocks of about
+    _READ_BYTES, and `from_json` every point; both group the records by
+    flux in `_group_by_flux`.
     """
 
     q_max: int
@@ -334,20 +386,15 @@ class ButterflyDataset:
 
     @classmethod
     def from_csv(cls, path: str | Path, q_max: int = 0, k_grid: int = 0) -> "ButterflyDataset":
-        """Read what `to_csv` writes, parsing the rows with numpy; rows of a
-        flux may be interleaved with others and blank lines are skipped.  A
-        wrong header or a malformed row raises ValueError."""
+        """Read what `to_csv` writes through `_csv_blocks`, holding one
+        block of lines at a time; rows of a flux may be interleaved with
+        others and empty lines are skipped.  A wrong header or a malformed
+        row raises ValueError."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header != _CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header!r}")
-            body = fh.tell()
-            # np.loadtxt warns on an empty body; a header-only file is empty
-            empty = not fh.read(1)
-            fh.seek(body)
-            rows = (np.zeros(0, _ROW) if empty else
-                    np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1))
-        return cls(q_max, k_grid, _group_by_flux(rows))
+            return cls(q_max, k_grid, _group_by_flux(_csv_blocks(fh)))
 
     def to_json(self, path: str | Path) -> None:
         """Write `{"q_max": .., "k_grid": .., "points": [{"phi": [nu, q],
@@ -380,7 +427,7 @@ class ButterflyDataset:
         except (KeyError, TypeError, OverflowError):
             raise ValueError("malformed butterfly JSON: expected {q_max, k_grid, "
                              "points: [{phi: [nu, q], E}, ...]}") from None
-        return cls(q_max, k_grid, _group_by_flux(rows))
+        return cls(q_max, k_grid, _group_by_flux([(rows, None)]))
 
     def symmetry_report(self, tol: float = 1e-9) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries."""

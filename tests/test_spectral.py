@@ -638,6 +638,125 @@ class TestAgainstReference:
         assert out.read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
 
 
+def block_cases():
+    """CSV bodies for the block reader, named by what they exercise."""
+    w = spectral._READ_BYTES
+    # 12-byte distinct lines up to just short of the first block's end,
+    # then a run of 100 equal lines across it
+    lead = w // 12 - 20
+    straddle = ([f"0,1,{1000 + i}.25\n" for i in range(lead)] + ["0,1,0.5\n"] * 100
+                + [f"1,2,{1000 + i}.75\n" for i in range(40)])
+    assert 12 * lead < w < 12 * lead + 800
+    rng = np.random.default_rng(15)
+    fluxes = [(0, 1), (1, 2), (1, 3)]
+    distinct = [f"{n},{d},{e!r}\n" for (n, d), e in zip(
+        (fluxes[i] for i in rng.integers(0, 3, 20_000)), rng.normal(size=20_000).tolist())]
+    assert len("".join(distinct)) > 3 * w
+    return {
+        "run-across-a-block": "".join(straddle),
+        "signed-zeros": "0,1,-0.0\n0,1,0.0\n0,1,0.0\n0,1,-0.0\n0,1,-0.0\n0,1,0.0\n",
+        "nan-and-infinities": "0,1,nan\n0,1,nan\n0,1,inf\n0,1,-inf\n0,1,-inf\n0,1,nan\n",
+        "runs-split-by-empty-lines": "0,1,0.5\n\n0,1,0.5\n\n\n0,1,0.5\n0,1,0.25\n\n0,1,0.25\n",
+        "last-line-without-newline": "0,1,-1.0\n0,1,0.5\n0,1,0.5",
+        "crlf": "0,1,-1.0\r\n0,1,0.5\r\n0,1,0.5\r\n\r\n0,1,0.5\r\n1,2,0.5\r\n",
+        "interleaved-fluxes": ("0,1,0.5\n1,2,0.5\n1,2,0.5\n0,1,0.5\n0,1,0.5\n"
+                               "1,3,-1.0\n1,2,0.5\n1,3,-1.0\n0,1,0.5\n"),
+        "distinct-over-several-blocks": "".join(distinct),
+    }
+
+
+BLOCK_CASES = block_cases()
+
+
+class TestBlockReader:
+    """`from_csv` reads blocks of lines and parses each run of equal lines
+    once; it must give the line-by-line reader's bits and numpy's messages."""
+
+    HEADER = "phi_num,phi_den,energy\n"
+
+    @pytest.mark.parametrize("body", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_same_bits_as_the_reference(self, tmp_path, body):
+        path, ref = tmp_path / "blocks.csv", tmp_path / "ref.csv"
+        path.write_bytes((self.HEADER + body).encode())
+        # the reference reader takes no empty lines
+        ref.write_bytes((self.HEADER + "".join(
+            line for line in body.splitlines(keepends=True)
+            if line not in ("\n", "\r\n"))).encode())
+        got = read_quietly(ButterflyDataset.from_csv, path, 3, 4)
+        assert same_bits(got, reference_from_csv(ref, 3, 4))
+
+    @pytest.mark.parametrize("blank", [3, 3 * spectral._READ_BYTES], ids=["few", "many-blocks"])
+    def test_body_of_empty_lines_is_an_empty_dataset(self, tmp_path, blank):
+        path = tmp_path / "blank.csv"
+        path.write_text(self.HEADER + "\n" * blank)
+        got = read_quietly(ButterflyDataset.from_csv, path, 2, 4)
+        assert got.entries == [] and got.n_rows() == 0
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,1,0.5\n0,1,0.5\n0,1,0.5\n0,1,abc\n",
+         "could not convert string 'abc' to float64 at row 3, column 3."),
+        ("0,1,0.5\n\n0,1,0.5,7\n",
+         "the dtype passed requires 3 columns but 4 were found at row 2; "
+         "use `usecols` to select a subset and avoid this error"),
+        ("0,1,0.5\n   \n0,1,0.5\n",
+         "the dtype passed requires 3 columns but 1 were found at row 2; "
+         "use `usecols` to select a subset and avoid this error"),
+        ("0,1,0.5\n" * 20_000 + "\n0,1,0.25\n1,2\n",
+         "the dtype passed requires 3 columns but 2 were found at row 20002; "
+         "use `usecols` to select a subset and avoid this error"),
+    ], ids=["energy-after-a-run", "long-after-an-empty-line", "whitespace-line",
+            "short-in-a-later-block"])
+    def test_malformed_rows_keep_numpys_message(self, tmp_path, body, message):
+        # numpy names the row by its index in the whole body, empty lines
+        # included, as when it parsed every line
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + body)
+        with pytest.raises(ValueError) as err:
+            ButterflyDataset.from_csv(path)
+        assert str(err.value) == message
+
+    def test_each_run_of_equal_lines_is_parsed_once(self, tmp_path, monkeypatch):
+        ds = butterfly(12, 24)
+        path = tmp_path / "b.csv"
+        ds.to_csv(path)
+        lines = path.read_text().splitlines()[1:]
+        runs = 1 + sum(a != b for a, b in zip(lines, lines[1:]))
+        assert len(lines) == 216_000 and runs <= 18_488
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def counting(data, *args, **kwargs):
+            data = list(data)
+            parsed.append(len(data))
+            return loadtxt(data, *args, **kwargs)
+        monkeypatch.setattr(spectral.np, "loadtxt", counting)
+        assert same_bits(ButterflyDataset.from_csv(path, 12, 24), ds)
+        # a run cut by a block's end is parsed once in each block
+        assert sum(parsed) <= runs + len(parsed), (sum(parsed), runs, len(parsed))
+
+    @pytest.mark.parametrize("rows", ["equal", "distinct"])
+    def test_reading_holds_the_samples_and_a_few_blocks(self, tmp_path, rows):
+        # One block's lines as str objects, numpy's UCS4 copy of them and
+        # their records take up to about 20 times the block's bytes, for the
+        # shortest rows.  Runs are held as one energy and a length until
+        # their flux is joined, so a file of equal rows holds little more
+        # than its samples; a file without repeats holds its flux's energies
+        # once more while they are joined.  A reader that kept every line
+        # would hold some 60 bytes a row more.
+        samples, copies = ((np.full(10**6, 0.1), 1) if rows == "equal"
+                           else (np.linspace(-4, 4, 2 * 10**5), 2))
+        path = tmp_path / "big.csv"
+        ButterflyDataset(1, 4, [(0, 1, samples)]).to_csv(path)
+        tracemalloc.start()
+        try:
+            got = ButterflyDataset.from_csv(path, 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, ButterflyDataset(1, 4, [(0, 1, samples)]))
+        assert peak < copies * samples.nbytes + 32 * spectral._READ_BYTES, peak
+
+
 def held_rule(dens, k_grid):
     """The figure the held-memory rule gives after each q in dens, term by
     term: every flux's samples, bands and objects, plus the largest one-flux
