@@ -48,11 +48,10 @@ def cmd_verify(args) -> int:
     rep = ops_mod.build_wavefunction(flux, args.gauge)
     if args.corrupt:
         # negative control: taint p1 with an extra site-dependent e^{i*th*m2/2}
-        pf = rep.p1.phase_form
-        bad_a = ops_mod.IntForm(pf.a.const, (pf.a.lin[0], pf.a.lin[1] + 1), pf.a.bilin)
-        bad_p1 = ops_mod.BasisMapOperator(rep.p1.site_map,
-                                          ops_mod.PhaseForm(bad_a, pf.b, pf.c))
-        rep = dataclasses.replace(rep, p1=bad_p1)
+        taint = ops_mod.BasisMapOperator(
+            ops_mod.SiteMap.identity(2),
+            ops_mod.PhaseForm(ops_mod.IntForm(0, (0, 1)), 0, ops_mod.IntForm.zero(2)))
+        rep = dataclasses.replace(rep, p1=rep.p1 @ taint)
     report = ops_mod.verify_relations(rep)
     payload = {"flux": str(flux), "gauge_units": args.gauge,
                "all_pass": report.all_pass, "relations": report.to_json_dict()}

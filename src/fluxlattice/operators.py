@@ -277,12 +277,7 @@ class DistinguishedRep:
 
 @dataclass(frozen=True)
 class WavefunctionRep:
-    """Action of both translation pairs and the quarter turn on the plane.
-
-    The rotation is kept in its gauge-zero form; at nonzero gauge the
-    rotation that satisfies the conjugation relations is obtained by
-    conjugating with the gauge intertwiner.
-    """
+    """Action of both translation pairs and the quarter turn on the plane."""
 
     p1: BasisMapOperator
     p2: BasisMapOperator
@@ -290,7 +285,6 @@ class WavefunctionRep:
     q2: BasisMapOperator
     zeta: BasisMapOperator
     flux: Flux
-    gauge_units: int = 0
 
 
 def build_distinguished(flux: Flux) -> DistinguishedRep:
@@ -315,19 +309,23 @@ def _plane_translation(axis: int, theta_coeff: int, gauge_coeff: int) -> BasisMa
 
 
 def build_wavefunction(flux: Flux, gauge_units: int = 0) -> WavefunctionRep:
-    """The five operators on the plane.  At gauge 0 the translation phases are
-    e^{+-i*th*m2/2} and e^{-+i*th*m1/2}; gauge u multiplies each translation
-    by e^{i*u*ph*m_perp}, which is exactly its conjugate under the gauge
-    intertwiner."""
+    """The five operators on the plane in gauge u.  At gauge 0 the translation
+    phases are e^{+-i*th*m2/2} and e^{-+i*th*m1/2} and the rotation is the
+    bare quarter turn.  Gauge u conjugates all five by the gauge intertwiner
+    S: each translation gains e^{i*u*ph*m_perp}, and the rotation becomes
+    S^-1 zeta S, so every group relation holds among the operators returned."""
     u = gauge_units
+    zeta = BasisMapOperator(SiteMap(((0, -1), (1, 0)), (0, 0)), PhaseForm.zero(2))
+    if u:
+        s = gauge_intertwiner(u)
+        zeta = s.inverse() @ zeta @ s
     return WavefunctionRep(
         p1=_plane_translation(0, +1, 2 * u),
         p2=_plane_translation(1, -1, 2 * u),
         q1=_plane_translation(0, -1, 2 * u),
         q2=_plane_translation(1, +1, 2 * u),
-        zeta=BasisMapOperator(SiteMap(((0, -1), (1, 0)), (0, 0)), PhaseForm.zero(2)),
+        zeta=zeta,
         flux=flux,
-        gauge_units=u,
     )
 
 
@@ -383,9 +381,6 @@ def verify_relations(rep: DistinguishedRep | WavefunctionRep) -> RelationReport:
                    flux, f"{pname} {qname} = {qname} {pname}")
 
     zeta = rep.zeta
-    if rep.gauge_units:
-        s = gauge_intertwiner(rep.gauge_units)
-        zeta = s.inverse() @ zeta @ s
     zeta_inv = zeta.inverse()
     rotation_images = [
         ("rotation_conj_p1", rep.p1, rep.p2, "zeta p1 zeta^-1 = p2"),

@@ -91,6 +91,18 @@ class TestWavefunction:
         assert commutator(rep.q1, rep.q2).equals(
             BasisMapOperator.scalar(2, ExactPhase(-2, 0, 0)))
 
+    @pytest.mark.parametrize("gauge", [1, 3, -2])
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=["golden", "1/5"])
+    def test_gauged_rotation_acts_on_its_own_translations(self, flux, gauge):
+        # composed directly, not through verify_relations
+        rep = build_wavefunction(flux, gauge)
+        zeta_inv = rep.zeta.inverse()
+        images = [(rep.p1, rep.p2), (rep.p2, rep.p1.inverse()),
+                  (rep.q1, rep.q2), (rep.q2, rep.q1.inverse())]
+        for gen, image in images:
+            assert (rep.zeta @ gen @ zeta_inv).equals(image, flux)
+        assert (rep.zeta**4).is_identity(flux)
+
     def test_corrupted_phase_fails_commutator(self):
         rep = build_wavefunction(GOLDEN)
         pf = rep.p1.phase_form
@@ -195,7 +207,7 @@ GENERATORS = ("p1", "p2", "q1", "q2")
 
 
 class TestGaugeReport:
-    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=["golden", "1/5"])
     def test_matches_direct_loop(self, flux):
         base = build_wavefunction(flux, 0)
         for units in range(-3, 4):
@@ -208,7 +220,7 @@ class TestGaugeReport:
             assert [c.holds for c in report.checks] == expected == [True] * 4
             assert all(c.witness_site is None for c in report.checks)
 
-    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=["golden", "1/5"])
     def test_wrong_intertwiner_fails_with_witnesses(self, flux, monkeypatch):
         # negative control: conjugate with the intertwiner of the next gauge
         def wrong(units, right=gauge_intertwiner):
