@@ -275,6 +275,11 @@ def _selfadjoint_ray(orbit_sum: AlgebraElement) -> AlgebraElement | None:
     return candidate
 
 
+# Bytes held per rotation orbit of hops while the basis is derived: every
+# orbit survives, and tracemalloc puts each at 1.7-2.0 KB; doubled for margin.
+_ORBIT_BYTES = 4096
+
+
 def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     """Derive the selfadjoint symmetry-invariant family with hopping range
     up to max_j, by constraint elimination rather than by fiat.
@@ -291,9 +296,15 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     by hopping range, axis families before diagonal ones, so the range-1
     axis element (index 1) is the nearest-neighbour hopping Hamiltonian.
     """
+    # spectral imports this module, so its budget check is imported here
+    from .spectral import require_allocation
+
     flux.require_irrational("the invariant-basis derivation")
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")
+    orbits = ((2 * max_j + 1) ** 2 + 3) // 4
+    require_allocation(orbits * _ORBIT_BYTES,
+                       f"the invariant basis through max_j={max_j} ({orbits} orbits)")
 
     seen: set[tuple[tuple[int, int], ...]] = set()
     survivors: list[tuple[tuple[int, int, int], AlgebraElement]] = []

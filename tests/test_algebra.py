@@ -7,10 +7,12 @@ over all monomials in an exponent box, canonicalized by row reduction.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fluxlattice import algebra
 from fluxlattice.algebra import (
     AlgebraElement,
     Monomial,
@@ -361,6 +363,20 @@ class TestDerivation:
     def test_harper_element_is_range_one_axis_term(self):
         basis = derive_invariant_basis(4, GOLDEN)
         assert harper_element() == basis[1]
+
+    @pytest.mark.parametrize("max_j", [40, 80])
+    def test_orbit_figure_bounds_the_peak(self, max_j):
+        # every one of the ((2J+1)^2 + 3)/4 rotation orbits survives, and the
+        # budget check sizes the derivation by that count
+        orbits = ((2 * max_j + 1) ** 2 + 3) // 4
+        tracemalloc.start()
+        try:
+            basis = derive_invariant_basis(max_j, GOLDEN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == orbits
+        assert peak <= orbits * algebra._ORBIT_BYTES
 
 
 class TestRendering:
