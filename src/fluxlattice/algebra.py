@@ -295,6 +295,8 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     survive too, carrying their half-plaquette phases.  Elements are ordered
     by hopping range, axis families before diagonal ones, so the range-1
     axis element (index 1) is the nearest-neighbour hopping Hamiltonian.
+    A max_j whose orbits would hold more than the allocation budget is
+    refused before the scan.
     """
     # spectral imports this module, so its budget check is imported here
     from .spectral import require_allocation

@@ -92,7 +92,7 @@ class TestWavefunction:
             BasisMapOperator.scalar(2, ExactPhase(-2, 0, 0)))
 
     @pytest.mark.parametrize("gauge", [1, 3, -2])
-    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=["golden", "1/5"])
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
     def test_gauged_rotation_acts_on_its_own_translations(self, flux, gauge):
         # composed directly, not through verify_relations
         rep = build_wavefunction(flux, gauge)
@@ -207,7 +207,7 @@ GENERATORS = ("p1", "p2", "q1", "q2")
 
 
 class TestGaugeReport:
-    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=["golden", "1/5"])
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
     def test_matches_direct_loop(self, flux):
         base = build_wavefunction(flux, 0)
         for units in range(-3, 4):
@@ -220,7 +220,7 @@ class TestGaugeReport:
             assert [c.holds for c in report.checks] == expected == [True] * 4
             assert all(c.witness_site is None for c in report.checks)
 
-    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=["golden", "1/5"])
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
     def test_wrong_intertwiner_fails_with_witnesses(self, flux, monkeypatch):
         # negative control: conjugate with the intertwiner of the next gauge
         def wrong(units, right=gauge_intertwiner):
