@@ -380,8 +380,7 @@ def verify_relations(rep: DistinguishedRep | WavefunctionRep) -> RelationReport:
             _check(report, f"commutes_{pname}_{qname}", p @ q, q @ p,
                    flux, f"{pname} {qname} = {qname} {pname}")
 
-    zeta = rep.zeta
-    zeta_inv = zeta.inverse()
+    zeta_inv = rep.zeta.inverse()
     rotation_images = [
         ("rotation_conj_p1", rep.p1, rep.p2, "zeta p1 zeta^-1 = p2"),
         ("rotation_conj_p2", rep.p2, rep.p1.inverse(), "zeta p2 zeta^-1 = p1^-1"),
@@ -389,8 +388,8 @@ def verify_relations(rep: DistinguishedRep | WavefunctionRep) -> RelationReport:
         ("rotation_conj_q2", rep.q2, rep.q1.inverse(), "zeta q2 zeta^-1 = q1^-1"),
     ]
     for name, gen, image, detail in rotation_images:
-        _check(report, name, zeta @ gen @ zeta_inv, image, flux, detail)
-    _check(report, "rotation_order_4", zeta**4, BasisMapOperator.identity(2),
+        _check(report, name, rep.zeta @ gen @ zeta_inv, image, flux, detail)
+    _check(report, "rotation_order_4", rep.zeta**4, BasisMapOperator.identity(2),
            flux, "zeta^4 = 1")
     return report
 
