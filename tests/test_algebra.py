@@ -5,6 +5,7 @@ a numeric nullspace solve of the invariance and selfadjointness constraints
 over all monomials in an exponent box, canonicalized by row reduction.
 """
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -359,6 +360,16 @@ class TestDerivation:
         derived_rref = _rref(coords)
         assert derived_rref.shape == np.array(oracle_rref).shape
         assert np.max(np.abs(derived_rref - np.array(oracle_rref))) < 1e-9
+
+    @pytest.mark.parametrize("max_j,digest", [
+        (6, "367bc61243994f3c3328565006a314d1a8751a6a33fa2a5efd5a27bb3047c25d"),
+        (12, "10f82dceddb0ebca767290457f25d23a6b524b4827c5036ce8730e37c7d5e001"),
+    ])
+    def test_rendering_is_pinned(self, max_j, digest):
+        # the exact text, element order and term order included; the oracle
+        # above compares spans within a tolerance and stops at max_j 4
+        text = "\n".join(map(str, derive_invariant_basis(max_j, GOLDEN)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_harper_element_is_range_one_axis_term(self):
         basis = derive_invariant_basis(4, GOLDEN)
