@@ -236,16 +236,6 @@ def harper_element() -> AlgebraElement:
             + generator("q2") + generator("q2", -1))
 
 
-def _zeta_orbit(k: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    orbit = []
-    cur = k
-    for _ in range(4):
-        if cur not in orbit:
-            orbit.append(cur)
-        cur = (-cur[1], cur[0])
-    return tuple(sorted(orbit))
-
-
 def _selfadjoint_ray(orbit_sum: AlgebraElement) -> AlgebraElement | None:
     """The unique selfadjoint normalization of a rotation-orbit sum, if any.
 
@@ -276,7 +266,8 @@ def _selfadjoint_ray(orbit_sum: AlgebraElement) -> AlgebraElement | None:
 
 
 # Bytes held per rotation orbit of hops while the basis is derived: every
-# orbit survives, and tracemalloc puts each at 1.7-2.0 KB; doubled for margin.
+# orbit survives, and tracemalloc puts each at 1.3-1.6 KB (max_j 6 to 80);
+# rounded up past double for margin.
 _ORBIT_BYTES = 4096
 
 
@@ -297,6 +288,14 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     axis element (index 1) is the nearest-neighbour hopping Hamiltonian.
     A max_j whose orbits would hold more than the allocation budget is
     refused before the scan.
+
+    The scan visits one hop per orbit: (0, 0) and the max_j*(max_j + 1)
+    hops with k1 > 0 and -k1 < k2 <= k1.  The quarter turn maps (k1, k2) to
+    (-k2, k1), so the other three hops of the orbit, (-k2, k1), (-k1, -k2)
+    and (k2, -k1), start below k1, except (k1, -k1) < (k1, k1) when
+    k2 = k1: each visited hop is the lexicographic maximum of its orbit.
+    The orbit is walked with _mono_zeta until it returns to the hop, which
+    zeta^4 = 1, exact on monomials and their phases, guarantees.
     """
     # spectral imports this module, so its budget check is imported here
     from .spectral import require_allocation
@@ -304,32 +303,21 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     flux.require_irrational("the invariant-basis derivation")
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")
-    orbits = ((2 * max_j + 1) ** 2 + 3) // 4
+    orbits = max_j * (max_j + 1) + 1
     require_allocation(orbits * _ORBIT_BYTES,
                        f"the invariant basis through max_j={max_j} ({orbits} orbits)")
 
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    survivors: list[tuple[tuple[int, int, int], AlgebraElement]] = []
-    for k1 in range(-max_j, max_j + 1):
-        for k2 in range(-max_j, max_j + 1):
-            orbit = _zeta_orbit((k1, k2))
-            if orbit in seen:
-                continue
-            seen.add(orbit)
-            mono = AlgebraElement(
-                [(1.0, Monomial((0, 0, k1, k2), ExactPhase.identity()))])
-            s = AlgebraElement()
-            img = mono
-            for _ in range(len(orbit)):
-                s = s + img
-                img = conjugate_by_zeta(img)
-            candidate = _selfadjoint_ray(s)
-            if candidate is None or not is_invariant(candidate, flux):
-                continue
-            rep = max(orbit)
-            reach = max(abs(rep[0]), abs(rep[1]))
-            mixed = int(rep[0] != 0 and rep[1] != 0)
-            survivors.append(((reach, mixed, *rep), candidate))
-
-    survivors.sort(key=lambda item: item[0])
-    return [el for _key, el in survivors]
+    # in the order of the basis: by range k1, the axis hop (k1, 0) first
+    hops = [(0, 0)] + [(k1, k2) for k1 in range(1, max_j + 1)
+                       for k2 in (0, *range(1 - k1, 0), *range(1, k1 + 1))]
+    basis: list[AlgebraElement] = []
+    for k1, k2 in hops:
+        start = Monomial((0, 0, k1, k2), ExactPhase.identity())
+        orbit = [start]
+        while (img := _mono_zeta(orbit[-1])) != start:
+            orbit.append(img)
+        candidate = _selfadjoint_ray(AlgebraElement((1.0, m) for m in orbit))
+        if candidate is None or not is_invariant(candidate, flux):
+            continue
+        basis.append(candidate)
+    return basis
