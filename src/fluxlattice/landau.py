@@ -69,7 +69,6 @@ class LandauOperators:
     x: np.ndarray         # x ⊗ I = P1, I ⊗ x = Q1
     y: np.ndarray         # y ⊗ I = P2, -I ⊗ y = Q2
     ham_mode: np.ndarray  # Hamiltonian restricted to the velocity mode
-    s: float              # scalar in L + (P1^2+P2^2)/2r on the lowest level
 
     @property
     def ang_mode(self) -> np.ndarray:
@@ -115,7 +114,7 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
         y = sgn * scale * 1j * (a.conj().T - a)
         ham_mode = (x @ x + y @ y) / (2.0 * mass)
         ops = LandauOperators(r=r, mass=mass, n_max=n_max, x=x, y=y,
-                              ham_mode=ham_mode, s=sgn * 0.5)
+                              ham_mode=ham_mode)
         if not all(np.isfinite(f).all() for f in (x, y, ham_mode, ops.ang_mode)):
             raise ValueError(f"invalid parameters: r={r} and m={mass} give non-finite operators")
     return ops

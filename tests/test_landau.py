@@ -90,8 +90,12 @@ class TestBuild:
         assert interior_residual(20, resid) < BRACKET_TOLERANCE
 
     def test_determined_scalar(self):
-        assert build_landau(1.0, 1.0, 8).s == 0.5
-        assert build_landau(-2.0, 1.0, 8).s == -0.5
+        # L + (P1^2+P2^2)/2r = I⊗S, and S is the scalar sign(r)/2 on the
+        # lowest level of the velocity mode
+        for r, scalar in ((1.0, 0.5), (-2.0, -0.5)):
+            ops = build_landau(r, 1.0, 8)
+            lowest = np.linalg.eigh(ops.ham_mode)[1][:, 0]
+            assert np.allclose(ops.ang_mode @ lowest, scalar * lowest)
 
 
 class TestSpectrum:
