@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command is deterministic for a given argument set and exits 0 when all
-of its checks pass, 1 when a check fails and 2 on invalid input: `main` turns
-any ValueError or OSError into one `fluxlattice: error: ...` line on stderr.
+of its checks pass, 1 when a check fails or its stdout pipe is closed, and 2
+on invalid input: `main` turns any other ValueError or OSError into one
+`fluxlattice: error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import landau as landau_mod
@@ -228,10 +230,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader went away; stdout goes to devnull so the exit flush
+        # cannot raise again, and the unfinished write is a failure, not
+        # invalid input
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,14 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, module="fluxlattice"):
-    """`python -m module argv...` in a fresh process that imports this
-    checkout's package."""
+def run_module(*argv, stdout=subprocess.PIPE):
+    """`python -m fluxlattice argv...` in a fresh process that imports this
+    checkout's package, with stdout block-buffered as in a shell pipeline."""
     src = str(Path(fluxlattice.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fluxlattice", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
 
 
 class TestClassify:
@@ -193,15 +195,14 @@ class TestLandau:
     def test_overflowing_checks_are_usage_errors(self, argv, name):
         # finite parameters whose residuals leave the float range: no numpy
         # warning and no FAIL line, only one error line
-        proc = run_module("landau", *argv, "--n-max", "8", module="fluxlattice.cli")
+        proc = run_module("landau", *argv, "--n-max", "8")
         assert proc.returncode == 2 and proc.stdout == ""
         [error] = proc.stderr.splitlines()
         assert error.startswith("fluxlattice: error: invalid parameters")
         assert error.endswith(f"overflow the float range of {name}")
 
     def test_unit_parameters_still_pass(self):
-        proc = run_module("landau", "--r", "1", "--m", "1", "--n-max", "8",
-                          module="fluxlattice.cli")
+        proc = run_module("landau", "--r", "1", "--m", "1", "--n-max", "8")
         assert proc.returncode == 0 and proc.stderr == ""
         assert "FAIL" not in proc.stdout and "lowest levels" in proc.stdout
 
@@ -301,7 +302,7 @@ def test_non_finite_landau_parameter_named(capsys, option, name, value):
     (["butterfly", "--k-grid", "2"], 2),
 ])
 def test_process_exit_codes(argv, code):
-    proc = run_module(*argv, module="fluxlattice.cli")
+    proc = run_module(*argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
 
@@ -312,3 +313,17 @@ def test_package_runs_as_a_module(capsys, argv):
     code, out, _ = run(capsys, *argv)
     proc = run_module(*argv)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("max_j", [6, 20])
+def test_closed_stdout_pipe_exits_1_quietly(max_j):
+    # at max_j 6 the output fits the stdout buffer, so the pipe breaks only
+    # at the final flush; at 20 it breaks inside print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("invariant", "--flux", "golden", "--max-j", str(max_j),
+                          stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
