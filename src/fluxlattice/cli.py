@@ -234,9 +234,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
     except BrokenPipeError:
-        # the reader went away; stdout goes to devnull so the exit flush
-        # cannot raise again, and the unfinished write is a failure, not
-        # invalid input
+        # the reader went away: devnull takes what is left, so the exit
+        # flush cannot raise again; an unfinished write is not bad input
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:
