@@ -398,6 +398,23 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(BasisMapOperator.identity(1), ((1, 0),), "open", GOLDEN)
 
+    def test_window_dimension_must_match_the_operator(self):
+        rep = build_wavefunction(GOLDEN)
+        with pytest.raises(ValueError, match="window dimension does not match the operator"):
+            truncate(rep.q1, ((0, 3),), "open", GOLDEN)
+
+    def test_unknown_boundary_rejected(self):
+        with pytest.raises(ValueError, match="unknown boundary 'reflecting'"):
+            truncate(BasisMapOperator.identity(1), ((0, 3),), "reflecting", GOLDEN)
+
+    def test_site_map_must_descend_to_the_torus(self):
+        # the quarter turn swaps the axes, so it wraps only a square window
+        flux = Flux.rational(1, 2)
+        zeta = build_wavefunction(flux).zeta
+        with pytest.raises(ValueError, match="site map does not descend to the torus"):
+            truncate(zeta, ((0, 1), (0, 3)), "periodic", flux)
+        assert truncate(zeta, ((0, 3), (0, 3)), "periodic", flux).matrix.shape == (16, 16)
+
     def test_oversized_window_refused_before_listing_sites(self):
         # 10,000 sites give a 1.49 GiB dense matrix, over the 1 GiB budget
         rep = build_wavefunction(GOLDEN)
