@@ -24,6 +24,7 @@ from itertools import product
 from typing import Iterable, NamedTuple
 
 from .phases import ExactPhase, Flux
+from .reporting import require_allocation
 
 __all__ = [
     "Monomial",
@@ -297,9 +298,6 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     The orbit is walked with _mono_zeta until it returns to the hop, which
     zeta^4 = 1, exact on monomials and their phases, guarantees.
     """
-    # spectral imports this module, so its budget check is imported here
-    from .spectral import require_allocation
-
     flux.require_irrational("the invariant-basis derivation")
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")

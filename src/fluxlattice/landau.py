@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .reporting import RelationReport
-from .spectral import require_allocation
+from .reporting import RelationReport, require_allocation
 
 __all__ = [
     "LandauOperators",

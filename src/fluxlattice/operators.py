@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .phases import ExactPhase, Flux
-from .reporting import RelationReport
-from .spectral import require_allocation
+from .reporting import RelationReport, require_allocation
 
 __all__ = [
     "IntForm",

@@ -1,8 +1,20 @@
-"""Line-oriented pass/fail reports shared by the relation and Landau checks."""
+"""Line-oriented pass/fail reports shared by the relation and Landau checks,
+and the one allocation budget, ALLOCATION_BUDGET_BYTES, that every module
+checks through require_allocation before it builds a large array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+# Most memory one request may hold.
+ALLOCATION_BUDGET_BYTES = 1 << 30
+
+
+def require_allocation(nbytes: int, what: str) -> None:
+    """Refuse a request that would hold more than the budget."""
+    if nbytes > ALLOCATION_BUDGET_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the "
+                         f"{ALLOCATION_BUDGET_BYTES} byte allocation budget")
 
 
 @dataclass(frozen=True)

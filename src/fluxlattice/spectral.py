@@ -25,7 +25,8 @@ one) through the same LAPACK call as one batched call, so the eigenvalues
 are bit-identical.  One rule sizes every request before its first solve:
 every returned flux's samples stay held, plus the largest transient of one
 flux solve (its reduced eigenvalues and one chunk of matrices) and a fixed
-slack.  The budget bounds memory, not run time.
+slack, against reporting.ALLOCATION_BUDGET_BYTES.  The budget bounds
+memory, not run time.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 
 from .algebra import harper_element
 from .phases import TWO_PI, Flux
+from .reporting import require_allocation
 
 __all__ = [
     "SpectrumEstimate",
@@ -53,17 +55,6 @@ __all__ = [
     "hausdorff_distance",
     "flux_values",
 ]
-
-
-# Most memory one request may hold.
-ALLOCATION_BUDGET_BYTES = 1 << 30
-
-
-def require_allocation(nbytes: int, what: str) -> None:
-    """Refuse a request that would hold more than the budget."""
-    if nbytes > ALLOCATION_BUDGET_BYTES:
-        raise ValueError(f"{what} needs {nbytes} bytes, over the "
-                         f"{ALLOCATION_BUDGET_BYTES} byte allocation budget")
 
 
 _HAMILTONIAN = harper_element()  # the one element every Bloch matrix represents

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fluxlattice
-from fluxlattice import spectral
+from fluxlattice import reporting
 from fluxlattice.cli import main
 
 
@@ -268,7 +268,7 @@ INVALID_INPUTS = [
 def test_invalid_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path,
                                                     argv, budget):
     if budget is not None:
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", budget)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", budget)
     missing = str(tmp_path / "no-such-dir" / "x")
     with pytest.raises(SystemExit) as err:
         main([missing if a == _MISSING else a for a in argv])

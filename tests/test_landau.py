@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fluxlattice import landau, spectral
+from fluxlattice import landau, reporting
 from fluxlattice.landau import (
     BRACKET_TOLERANCE,
     LORENTZ_TOLERANCE,
@@ -42,18 +42,18 @@ class TestBuild:
             build_landau(1.0, value, 10)
 
     def test_allocation_budget_covers_the_three_factors(self, monkeypatch):
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 3 * 10 * 10 * 16)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 3 * 10 * 10 * 16)
         assert build_landau(1.0, 1.0, 10).x.shape == (10, 10)
         with pytest.raises(ValueError, match="allocation budget"):
             build_landau(1.0, 1.0, 11)
 
     def test_allocation_budget_covers_full_space_reads(self, monkeypatch):
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 10**4 * 16 - 1)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 10**4 * 16 - 1)
         ops = build_landau(1.0, 1.0, 10)
         assert bracket_report(ops).all_pass
         with pytest.raises(ValueError, match="allocation budget"):
             ops.ham
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 10**4 * 16)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 10**4 * 16)
         assert np.array_equal(ops.ham, np.kron(np.eye(10), ops.ham_mode))
 
     def test_hamiltonian_is_the_only_full_space_matrix(self):

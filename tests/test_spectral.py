@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluxlattice import spectral
+from fluxlattice import reporting, spectral
 from fluxlattice.algebra import AlgebraElement, Monomial, generator, harper_element, multiply
 from fluxlattice.cli import main
 from fluxlattice.phases import TWO_PI, ExactPhase, Flux, RationalFluxError
@@ -778,9 +778,9 @@ class TestAllocationBudget:
     def test_spectrum_budget_is_what_the_solve_holds(self, monkeypatch):
         # q = 4, k_grid = 8: gcd 4, so n_k = 16 points in one chunk
         [nbytes] = held_rule([4], 8)
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", nbytes)
         assert spectrum(Flux.rational(1, 4), 8).samples.size == 4 * 8 * 8
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
         with pytest.raises(ValueError, match="allocation budget"):
             spectrum(Flux.rational(1, 4), 8)
 
@@ -792,7 +792,7 @@ class TestAllocationBudget:
         nbytes = held_rule(dens, k_grid)[dens.index(crossing)]
         solved = []
         monkeypatch.setattr(spectral, "spectrum", lambda *args: solved.append(args))
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
         with pytest.raises(ValueError, match=f"q={crossing}, k_grid={k_grid} needs {nbytes} "):
             approximant_spectra(Flux.golden(), 5, k_grid)
         assert solved == []
@@ -804,11 +804,11 @@ class TestAllocationBudget:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: solved.append(a.shape) or eigvalsh(a))
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", nbytes - 1)
         with pytest.raises(ValueError, match="allocation budget"):
             butterfly(3, 6)
         assert solved == []
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", nbytes)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", nbytes)
         assert 8 * butterfly(3, 6).n_rows() == 8 * 36 * (1 + 2 + 3 + 3)
         assert len(solved) == 4
 
@@ -823,14 +823,14 @@ class TestAllocationBudget:
         # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 27 MB traced,
         # but the rule's upper bound is 44 MB
         shapes = count_eigvalsh(monkeypatch)
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 32 * 2**20)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 32 * 2**20)
         with pytest.raises(ValueError, match="allocation budget"):
             spectrum(Flux.rational(0, 1), 1000)
         assert shapes == []
 
     def test_chunked_requests_fit_a_small_budget(self, monkeypatch):
         # the whole q = 169 stack at k_grid 12 is 66 MB; the solve holds 5 MB
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
         assert spectrum(Flux.rational(70, 169), 12).samples.size == 169 * 144
         seq = approximant_spectra(Flux.sqrt2(), 6, 12)
         assert seq.convergents[-1] == Fraction(70, 169)
@@ -840,7 +840,7 @@ class TestAllocationBudget:
                 "--format", "json"]
         assert main(argv) == 0
         default = capsys.readouterr()
-        monkeypatch.setattr(spectral, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
         assert main(argv) == 0
         assert capsys.readouterr() == default
 
