@@ -462,19 +462,11 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
 class TruncatedOperator:
     """Dense matrix of a basis-map operator over a coordinate window."""
 
-    window: tuple[tuple[int, int], ...]
     matrix: np.ndarray
-    boundary: str
-    period: tuple[int, ...] | None = None
-
-
-def _window_sites(window: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
-    axes = [range(lo, hi + 1) for lo, hi in window]
-    return list(itertools.product(*axes))
 
 
 def truncate(op: BasisMapOperator, window: tuple[tuple[int, int], ...],
-             boundary: str, flux: Flux, phi: float = 0.0) -> TruncatedOperator:
+             boundary: str, flux: Flux) -> TruncatedOperator:
     """Matrix of `op` over the basis points of `window` (inclusive bounds,
     lexicographic order).
 
@@ -487,13 +479,11 @@ def truncate(op: BasisMapOperator, window: tuple[tuple[int, int], ...],
     """
     if len(window) != op.dim:
         raise ValueError("window dimension does not match the operator")
-    n = math.prod(max(0, hi - lo + 1) for lo, hi in window)
-    require_allocation(16 * n * n, f"the truncated matrix over {n} sites")
-    sites = _window_sites(window)
-    if not sites:
+    lengths = tuple(max(0, hi - lo + 1) for lo, hi in window)
+    n = math.prod(lengths)
+    if not n:
         raise ValueError("window is empty")
-    index = {s: i for i, s in enumerate(sites)}
-    lengths = tuple(hi - lo + 1 for lo, hi in window)
+    require_allocation(16 * n * n, f"the truncated matrix over {n} sites")
 
     if boundary == "periodic":
         if not flux.is_rational:
@@ -511,17 +501,17 @@ def truncate(op: BasisMapOperator, window: tuple[tuple[int, int], ...],
                 raise ValueError(
                     f"incompatible periodicity: the phase form is not periodic "
                     f"under a wrap of {length} on axis {axis} at flux {flux}")
-            image = op.site_map.apply(tuple(window[i][0] + (length if i == axis else 0)
-                                            for i in range(op.dim)))
-            base = op.site_map.apply(tuple(window[i][0] for i in range(op.dim)))
-            if any((a - b) % l for a, b, l in zip(image, base, lengths)):
+            # the wrap moves every image by length times column `axis` of the map
+            if any(length * row[axis] % l for row, l in zip(op.site_map.matrix, lengths)):
                 raise ValueError("incompatible periodicity: site map does not "
                                  "descend to the torus")
     elif boundary != "open":
         raise ValueError(f"unknown boundary {boundary!r}")
 
+    sites = list(itertools.product(*(range(lo, hi + 1) for lo, hi in window)))
+    index = {s: i for i, s in enumerate(sites)}
     theta = flux.theta
-    mat = np.zeros((len(sites), len(sites)), dtype=complex)
+    mat = np.zeros((n, n), dtype=complex)
     for col, site in enumerate(sites):
         phase, target = op.apply(site)
         if boundary == "periodic":
@@ -529,6 +519,5 @@ def truncate(op: BasisMapOperator, window: tuple[tuple[int, int], ...],
                            for t, (lo, _hi), length in zip(target, window, lengths))
         elif target not in index:
             continue
-        mat[index[target], col] = phase.reduce(flux).evaluate(theta, phi)
-    period = lengths if boundary == "periodic" else None
-    return TruncatedOperator(tuple(window), mat, boundary, period)
+        mat[index[target], col] = phase.reduce(flux).evaluate(theta)
+    return TruncatedOperator(mat)
