@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: output, formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import fluxlattice
 from fluxlattice import reporting
 from fluxlattice.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def run(capsys, *argv):
@@ -56,6 +59,15 @@ class TestClassify:
         assert doc["kind"] == "rational_with_kernel"
         assert doc["kernel"] == 3
         assert doc["phi"] == [1, 3]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_out_holds_the_recorded_stdout(self, capsys, tmp_path, fmt):
+        path = tmp_path / "F"
+        code, out, _ = run(capsys, "classify", "--flux", "golden", "--format", fmt,
+                           "--out", str(path))
+        assert (code, out) == (0, "")
+        recorded = (CORPUS / f"01-classify.{fmt}").read_text(encoding="utf-8")
+        assert path.read_text(encoding="utf-8") == recorded.split("--- stdout\n", 1)[1]
 
     def test_bad_flux_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -132,6 +144,24 @@ class TestButterfly:
                            "--check")
         assert code == 0
         assert "symmetry check" in out
+
+    def test_check_fails_on_an_asymmetric_sweep(self, capsys, monkeypatch):
+        # negative control: lift the samples of 1/3 off those of its reflection 2/3
+        sweep = fluxlattice.spectral.butterfly
+
+        def shifted(q_max, k_grid):
+            dataset = sweep(q_max, k_grid)
+            entries = [(n, d, s + 1e-6 if (n, d) == (1, 3) else s)
+                       for n, d, s in dataset.entries]
+            return dataclasses.replace(dataset, entries=entries)
+
+        monkeypatch.setattr(fluxlattice.spectral, "butterfly", shifted)
+        code, out, _ = run(capsys, "butterfly", "--q-max", "4", "--k-grid", "8", "--check")
+        assert code == 1
+        check, summary = out.splitlines()
+        assert check == ("symmetry check: flux reflection deviation 1.000e-06, "
+                         "energy negation deviation 2.000e-06")
+        assert summary.endswith("(q_max=4, k_grid=8); use --out to save")
 
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "b.json"
