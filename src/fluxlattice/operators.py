@@ -410,8 +410,6 @@ def gauge_report(flux: Flux, phi_units: int) -> RelationReport:
 class CommutantReport:
     """Outcome of the exhaustive commutant scan over a box of exponents."""
 
-    max_exp: int
-    flux: Flux
     commutant_exponents: list[tuple[int, int, int, int]]
     violations: list[tuple[int, int, int, int]]
 
@@ -455,7 +453,7 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
                     commutant.append((j1, j2, k1, k2))
                 if commutes != expected:
                     violations.append((j1, j2, k1, k2))
-    return CommutantReport(max_exp, flux, commutant, violations)
+    return CommutantReport(commutant, violations)
 
 
 @dataclass(eq=False)

@@ -137,35 +137,17 @@ def wedge(m: tuple[int, int], n: tuple[int, int]) -> int:
     return m[0] * n[1] - m[1] * n[0]
 
 
-def _cf_terms_of_fraction(fr: Fraction) -> tuple[int, ...]:
-    """Partial quotients of fr in (0, 1), truncated before the convergent
-    denominators overflow the reliability cap."""
-    num, den = fr.numerator, fr.denominator
-    terms: list[int] = []
-    q_prev, q_cur = 0, 1
-    while num:
-        a, rem = divmod(den, num)
-        q_next = a * q_cur + q_prev
-        if q_next > _CF_DENOMINATOR_CAP:
-            break
-        terms.append(a)
-        q_prev, q_cur = q_cur, q_next
-        den, num = num, rem
-    return tuple(terms)
-
-
 @dataclass(frozen=True)
 class Flux:
     """Magnetic flux per plaquette, canonical mod one flux quantum.
 
     Either rational (a reduced fraction nu/N with 0 <= nu < N) or irrational
-    (a float value in [0, 1) together with continued-fraction terms for the
-    rational approximants).  The flux angle is th = 2*pi*Phi.
+    (a float value in [0, 1), whose rational approximants `convergents`
+    expands on demand).  The flux angle is th = 2*pi*Phi.
     """
 
     fraction: Fraction | None
     value: float
-    cf_terms: tuple[int, ...] = ()
 
     @classmethod
     def rational(cls, numerator: int, denominator: int) -> "Flux":
@@ -180,7 +162,7 @@ class Flux:
         if not math.isfinite(v):
             raise ValueError("flux value must be finite")
         v %= 1.0
-        return cls(fraction=None, value=v, cf_terms=_cf_terms_of_fraction(Fraction(v)))
+        return cls(fraction=None, value=v)
 
     @classmethod
     def golden(cls) -> "Flux":
@@ -248,23 +230,29 @@ class Flux:
                 f"of scope for this package")
 
     def convergents(self, depth: int) -> list[Fraction]:
-        """First `depth` continued-fraction convergents nu_i/q_i of Phi."""
+        """First `depth` continued-fraction convergents nu_i/q_i of Phi, by
+        Euclid on the float's exact value; a depth past the last convergent
+        whose denominator is within _CF_DENOMINATOR_CAP is refused."""
         if self.is_rational:
             raise RationalFluxError("approximants are for irrational flux; "
                                     "a rational flux is its own spectrum point")
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        if depth > len(self.cf_terms):
-            raise ValueError(
-                f"depth {depth} exceeds the available continued-fraction "
-                f"expansion ({len(self.cf_terms)} reliable terms)")
-        out = []
-        p_prev, q_prev = 1, 0
-        p_cur, q_cur = 0, 1
-        for a in self.cf_terms[:depth]:
+        num, den = self.value.as_integer_ratio()
+        p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
+        out: list[Fraction] = []
+        while num and len(out) < depth:
+            a, rem = divmod(den, num)
             p_cur, p_prev = a * p_cur + p_prev, p_cur
             q_cur, q_prev = a * q_cur + q_prev, q_cur
+            if q_cur > _CF_DENOMINATOR_CAP:
+                break
             out.append(Fraction(p_cur, q_cur))
+            den, num = num, rem
+        if len(out) < depth:
+            raise ValueError(
+                f"depth {depth} exceeds the available continued-fraction "
+                f"expansion ({len(out)} reliable terms)")
         return out
 
     def __str__(self) -> str:

@@ -473,7 +473,6 @@ class ApproximantSequence:
     """Spectra along the continued-fraction convergents of an irrational flux,
     with Hausdorff distances between consecutive sample sets."""
 
-    flux: Flux
     convergents: list[Fraction]
     spectra: list[SpectrumEstimate]
     distances: list[float]
@@ -486,4 +485,4 @@ def approximant_spectra(flux: Flux, depth: int, k_grid: int) -> ApproximantSeque
                for c in convergents]
     distances = [hausdorff_distance(s0.samples, s1.samples)
                  for s0, s1 in zip(spectra, spectra[1:])]
-    return ApproximantSequence(flux, convergents, spectra, distances)
+    return ApproximantSequence(convergents, spectra, distances)

@@ -246,7 +246,8 @@ class TestFlux:
 
     @pytest.mark.parametrize("flux,terms,term", [(GOLDEN, 34, 1), (Flux.sqrt2(), 18, 2)])
     def test_named_fluxes_obey_denominator_cap(self, flux, terms, term):
-        assert flux.cf_terms == (term,) * terms
+        dens = [0, 1] + [c.denominator for c in flux.convergents(terms)]
+        assert all(q == term * q1 + q2 for q2, q1, q in zip(dens, dens[1:], dens[2:]))
         assert flux.convergents(terms)[-1].denominator <= 10**7
         with pytest.raises(ValueError, match=f"{terms} reliable terms"):
             flux.convergents(terms + 1)
@@ -256,15 +257,16 @@ class TestFlux:
         assert GOLDEN.theta == pytest.approx(2 * math.pi * GOLDEN.value)
 
     def test_rational_flux_has_no_continued_fraction(self):
-        # convergents refuse rational flux, so nothing reads its terms
-        assert Flux.rational(3, 7).cf_terms == ()
         with pytest.raises(RationalFluxError):
             Flux.rational(3, 7).convergents(1)
 
     def test_golden_continued_fraction(self):
-        assert GOLDEN.cf_terms[:8] == (1,) * 8
-        assert Flux.sqrt2().cf_terms[:8] == (2,) * 8
-        assert Flux.pi_fractional().cf_terms[:4] == (7, 15, 1, 292)
+        fib = [1, 1, 2, 3, 5, 8, 13, 21, 34]
+        assert GOLDEN.convergents(8) == [Fraction(p, q) for p, q in zip(fib, fib[1:])]
+        pell = [1, 2, 5, 12, 29, 70, 169, 408, 985]
+        assert Flux.sqrt2().convergents(8) == [Fraction(p, q) for p, q in zip(pell, pell[1:])]
+        assert Flux.pi_fractional().convergents(4) == [
+            Fraction(1, 7), Fraction(15, 106), Fraction(16, 113), Fraction(4687, 33102)]
 
     def test_convergents(self):
         convs = GOLDEN.convergents(5)
