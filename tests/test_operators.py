@@ -194,6 +194,13 @@ class TestGauge:
             ph_r, t_r = rhs.apply(site)
             assert t_l == t_r and ph_l == ph_r
 
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.rational(1, 5)], ids=str)
+    def test_gauged_rotation_is_the_conjugated_quarter_turn(self, flux):
+        zeta0 = build_wavefunction(flux, 0).zeta
+        for units in range(-4, 5):
+            s = gauge_intertwiner(units)
+            assert build_wavefunction(flux, units).zeta == s.inverse() @ zeta0 @ s
+
     def test_does_not_commute_with_rotation(self):
         s = gauge_intertwiner(1)
         zeta = build_wavefunction(GOLDEN).zeta
