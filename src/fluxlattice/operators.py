@@ -311,13 +311,12 @@ def build_wavefunction(flux: Flux, gauge_units: int = 0) -> WavefunctionRep:
     """The five operators on the plane in gauge u.  At gauge 0 the translation
     phases are e^{+-i*th*m2/2} and e^{-+i*th*m1/2} and the rotation is the
     bare quarter turn.  Gauge u conjugates all five by the gauge intertwiner
-    S: each translation gains e^{i*u*ph*m_perp}, and the rotation becomes
-    S^-1 zeta S, so every group relation holds among the operators returned."""
+    S: each translation gains e^{i*u*ph*m_perp}, and the rotation S^-1 zeta S
+    is built as the quarter turn after the diagonal phase e^{-2i*u*ph*m1*m2},
+    so every group relation holds among the operators returned."""
     u = gauge_units
-    zeta = BasisMapOperator(SiteMap(((0, -1), (1, 0)), (0, 0)), PhaseForm.zero(2))
-    if u:
-        s = gauge_intertwiner(u)
-        zeta = s.inverse() @ zeta @ s
+    zeta = BasisMapOperator(SiteMap(((0, -1), (1, 0)), (0, 0)),
+                            PhaseForm(IntForm.zero(2), 0, IntForm(0, (0, 0), -4 * u)))
     return WavefunctionRep(
         p1=_plane_translation(0, +1, 2 * u),
         p2=_plane_translation(1, -1, 2 * u),
