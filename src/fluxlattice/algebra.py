@@ -242,7 +242,9 @@ def _selfadjoint_ray(orbit_sum: AlgebraElement) -> AlgebraElement | None:
 
     Writing the candidate as u * S with a constant unimodular u, the
     selfadjointness condition reads u^2 = adjoint(S)/S termwise, so the
-    per-exponent phase ratio must be constant and admit an exact half.
+    per-exponent phase ratio must be constant and admit an exact half.  A
+    ratio with a pi part is refused like an odd one: e^{i*pi/2} is no exact
+    phase triple.
     """
     adj = adjoint(orbit_sum)
     by_exps = {m.exponents: m.phase for _c, m in orbit_sum.terms()}
@@ -257,13 +259,9 @@ def _selfadjoint_ray(orbit_sum: AlgebraElement) -> AlgebraElement | None:
         elif ratio != r:
             return None
     assert ratio is not None
-    if ratio.a % 2 or ratio.c % 2:
+    if ratio.a % 2 or ratio.b or ratio.c % 2:
         return None
-    u = ExactPhase(ratio.a // 2, 0, ratio.c // 2)
-    candidate = orbit_sum.phase_twisted(u)
-    if ratio.b:
-        candidate = 1j * candidate
-    return candidate
+    return orbit_sum.phase_twisted(ExactPhase(ratio.a // 2, 0, ratio.c // 2))
 
 
 # Bytes held per rotation orbit of hops while the basis is derived: every

@@ -150,6 +150,25 @@ class TestAdjoint:
             assert lhs == rhs
 
 
+class TestSelfadjointRay:
+    @pytest.mark.parametrize("element", [
+        mono(0, 0, 1, 0),
+        mono(0, 0, 1, 0) + mono(0, 0, -1, 0, ExactPhase(1, 0, 0)),
+        mono(0, 0, 1, 0) + mono(0, 0, -1, 0, ExactPhase(0, 1, 0)),
+        mono(0, 0, 1, 0) + mono(0, 0, -1, 0) + mono(0, 0, 0, 1)
+        + mono(0, 0, 0, -1, ExactPhase(2, 0, 0)),
+    ], ids=["adjoint_exponent_missing", "odd_ratio", "pi_ratio", "ratio_not_constant"])
+    def test_refusals(self, element):
+        assert algebra._selfadjoint_ray(element) is None
+
+    def test_even_ratio_is_normalized(self):
+        c = algebra._selfadjoint_ray(mono(0, 0, 1, 0)
+                                     + mono(0, 0, -1, 0, ExactPhase(2, 0, 0)))
+        assert c == (mono(0, 0, 1, 0, ExactPhase(-1, 0, 0))
+                     + mono(0, 0, -1, 0, ExactPhase(1, 0, 0)))
+        assert adjoint(c) == c
+
+
 class TestConjugation:
     def test_translation_phase(self):
         x = multiply(generator("p1"), generator("p2"))
