@@ -227,15 +227,15 @@ def flux_values(q_max: int) -> list[Fraction]:
 _ROW = np.dtype([("num", np.int64), ("den", np.int64), ("energy", np.float64)])
 
 
-def _group_by_flux(blocks: Iterable[tuple[np.ndarray, np.ndarray | None]]
+def _group_by_flux(blocks: Iterable[tuple[np.ndarray, np.ndarray]]
                    ) -> list[tuple[int, int, np.ndarray]]:
     """Per-flux sample arrays, in ascending Phi, from blocks of `_ROW`
     records and their run lengths: each record's energy stands for as many
-    samples as its run length (one where the lengths are None).  Each run
-    of equal (nu, q) in a block is one part; the parts of a flux are joined
-    in file order, so interleaved rows group as well.  A (nu, q) that is
-    not a reduced flux in [0, 1) raises ValueError."""
-    runs: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray | None]]] = {}
+    samples as its run length.  Each run of equal (nu, q) in a block is one
+    part; the parts of a flux are joined in file order, so interleaved rows
+    group as well.  A (nu, q) that is not a reduced flux in [0, 1) raises
+    ValueError."""
+    runs: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
     for rows, counts in blocks:
         # a copy, so no part holds its block's records
         nums, dens, energies = rows["num"], rows["den"], rows["energy"].copy()
@@ -243,7 +243,7 @@ def _group_by_flux(blocks: Iterable[tuple[np.ndarray, np.ndarray | None]]
         bounds = [0, *starts.tolist(), rows.size] if rows.size else []
         for lo, hi in zip(bounds, bounds[1:]):
             runs.setdefault((int(nums[lo]), int(dens[lo])), []).append(
-                (energies[lo:hi], None if counts is None else counts[lo:hi]))
+                (energies[lo:hi], counts[lo:hi]))
     for num, den in runs:
         _validate_fraction(num, den)
     # each flux's parts are dropped once joined
@@ -251,13 +251,13 @@ def _group_by_flux(blocks: Iterable[tuple[np.ndarray, np.ndarray | None]]
         runs, key=lambda flux: Fraction(*flux))]
 
 
-def _expand(parts: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
+def _expand(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The samples of (energies, run lengths) parts, in order, written into
     one array so that at most one part is ever held expanded."""
-    out = np.empty(sum(e.size if c is None else int(c.sum()) for e, c in parts))
+    out = np.empty(sum(int(counts.sum()) for _e, counts in parts))
     pos = 0
     for energies, counts in parts:
-        piece = energies if counts is None else np.repeat(energies, counts)
+        piece = np.repeat(energies, counts)
         out[pos:pos + piece.size] = piece
         pos += piece.size
     return out
@@ -268,12 +268,11 @@ def _expand(parts: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:
 _READ_BYTES = 1 << 16
 
 
-def _csv_blocks(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+def _csv_blocks(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(`_ROW` records, run lengths) of the CSV body from fh, read in blocks
     of about _READ_BYTES of lines: empty lines are dropped, and of each
     run of equal consecutive lines only the first is parsed, by np.loadtxt,
-    since equal lines parse to equal bits.  A block without repeats has
-    None for its run lengths.  A malformed row raises numpy's
+    since equal lines parse to equal bits.  A malformed row raises numpy's
     ValueError, which names the row by its index in the whole body."""
     body = fh.tell()
     while block := fh.readlines(_READ_BYTES):
@@ -290,7 +289,7 @@ def _csv_blocks(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
             fh.seek(body)
             np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
             raise
-        yield records, np.diff(cuts, append=lines.size) if cuts.size < lines.size else None
+        yield records, np.diff(cuts, append=lines.size)
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
@@ -418,7 +417,7 @@ class ButterflyDataset:
         except (KeyError, TypeError, OverflowError):
             raise ValueError("malformed butterfly JSON: expected {q_max, k_grid, "
                              "points: [{phi: [nu, q], E}, ...]}") from None
-        return cls(q_max, k_grid, _group_by_flux([(rows, None)]))
+        return cls(q_max, k_grid, _group_by_flux([(rows, np.ones(rows.size, int))]))
 
     def symmetry_report(self, tol: float = 1e-9) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries."""
