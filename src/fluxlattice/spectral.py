@@ -54,8 +54,10 @@ __all__ = [
     "approximant_spectra",
     "hausdorff_distance",
     "flux_values",
+    "SYMMETRY_TOLERANCE",
 ]
 
+SYMMETRY_TOLERANCE = 1e-9
 
 _HAMILTONIAN = harper_element()  # the one element every Bloch matrix represents
 # Bloch matrices built and solved at once; a larger stack is solved in chunks.
@@ -419,8 +421,9 @@ class ButterflyDataset:
                              "points: [{phi: [nu, q], E}, ...]}") from None
         return cls(q_max, k_grid, _group_by_flux([(rows, np.ones(rows.size, int))]))
 
-    def symmetry_report(self, tol: float = 1e-9) -> dict:
-        """Deviations from the Phi -> 1 - Phi and E -> -E symmetries."""
+    def symmetry_report(self) -> dict:
+        """Deviations from the Phi -> 1 - Phi and E -> -E symmetries, each
+        within SYMMETRY_TOLERANCE for a symmetric dataset."""
         table = {(n, d): s for n, d, s in self.entries}
         flux_dev = energy_dev = 0.0
         for (n, d), samples in table.items():
@@ -433,8 +436,9 @@ class ButterflyDataset:
         return {
             "flux_reflection_deviation": flux_dev,
             "energy_negation_deviation": energy_dev,
-            "symmetric": flux_dev <= tol and energy_dev <= tol,
-            "tolerance": tol,
+            "symmetric": (flux_dev <= SYMMETRY_TOLERANCE
+                          and energy_dev <= SYMMETRY_TOLERANCE),
+            "tolerance": SYMMETRY_TOLERANCE,
         }
 
 

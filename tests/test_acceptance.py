@@ -138,7 +138,7 @@ def test_06_butterfly_dataset():
     ds = fl.butterfly(30, 40)
     again = fl.butterfly(30, 40)
     deterministic = ds == again
-    sym = ds.symmetry_report(tol=1e-9)
+    sym = ds.symmetry_report()
     farey = {Fraction(nu, q) for q in range(1, 11) for nu in range(q)
              if math.gcd(nu, q) == 1}
     counts_ok = (len(fl.butterfly(10, 8).entries) == len(farey) == 32
