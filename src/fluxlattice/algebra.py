@@ -104,9 +104,8 @@ class AlgebraElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[complex, Monomial]] = ()):
-        # a new monomial is hashed once, by the setdefault that stores it
-        # (hashing runs ExactPhase.__hash__ in Python); 0.0 + stores a -0.0
-        # part as 0.0, as summing from zero does
+        # a new monomial is hashed once, by the setdefault that stores it;
+        # 0.0 + stores a -0.0 part as 0.0, as summing from zero does
         acc: dict[Monomial, complex] = {}
         for coeff, mono in terms:
             size = len(acc)

@@ -10,6 +10,8 @@ affine-plus-bilinear forms in the site coordinates.  The class is closed
 under composition and inversion, so every group relation among the
 translation and rotation operators is checked symbolically, with zero
 tolerance; matrices appear only when an operator is truncated to a window.
+Site maps, like the IntForms of the phase, are 1-D (the line) or 2-D (the
+plane): each is applied, composed and inverted in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntForm:
     """Integer-valued function of a lattice site: constant + linear terms
     plus, in two dimensions, one bilinear cross term m1*m2.
@@ -65,10 +67,10 @@ class IntForm:
         return len(self.lin)
 
     def evaluate(self, site: tuple[int, ...]) -> int:
-        val = self.const + sum(c * x for c, x in zip(self.lin, site))
-        if self.bilin:
-            val += self.bilin * site[0] * site[1]
-        return val
+        if len(site) == 1:
+            return self.const + self.lin[0] * site[0]
+        (a, b), (x1, x2) = self.lin, site
+        return self.const + a * x1 + b * x2 + self.bilin * x1 * x2
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.const, *self.lin, self.bilin)
@@ -106,7 +108,7 @@ class IntForm:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseForm:
     """Site-dependent exact phase: theta and gauge channels are IntForms,
     the pi channel is a constant."""
@@ -160,9 +162,10 @@ def _identity_matrix(dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SiteMap:
-    """Affine bijection of the lattice: signed-permutation matrix plus shift."""
+    """Affine bijection of the line or the plane: signed-permutation matrix
+    plus shift."""
 
     matrix: tuple[tuple[int, ...], ...]
     shift: tuple[int, ...]
@@ -173,38 +176,43 @@ class SiteMap:
 
     @classmethod
     def translation(cls, shift: tuple[int, ...]) -> "SiteMap":
-        return replace(cls.identity(len(shift)), shift=tuple(shift))
+        return cls(_identity_matrix(len(shift)), tuple(shift))
 
     @property
     def dim(self) -> int:
         return len(self.shift)
 
     def apply(self, site: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(m * x for m, x in zip(row, site)) + t
-                     for row, t in zip(self.matrix, self.shift))
+        if len(site) == 1:
+            ((m,),), (t,) = self.matrix, self.shift
+            return (m * site[0] + t,)
+        (m11, m12), (m21, m22) = self.matrix
+        (x1, x2), (t1, t2) = site, self.shift
+        return (m11 * x1 + m12 * x2 + t1, m21 * x1 + m22 * x2 + t2)
 
     def compose(self, other: "SiteMap") -> "SiteMap":
-        """self after other.  An identity-matrix operand skips the matrix
-        product: the result keeps the other operand's matrix."""
-        identity = _identity_matrix(len(self.shift))
-        if other.matrix == identity:
-            return SiteMap(self.matrix, self.apply(other.shift))
-        if self.matrix == identity:
-            return SiteMap(other.matrix,
-                           tuple(s + t for s, t in zip(other.shift, self.shift)))
-        cols = tuple(zip(*other.matrix))
-        mat = tuple(tuple(sum(m * n for m, n in zip(row, col)) for col in cols)
-                    for row in self.matrix)
-        return SiteMap(mat, self.apply(other.shift))
+        """self after other: x -> M (N x + s) + t = M N x + (M s + t)."""
+        shift = self.apply(other.shift)
+        if len(shift) == 1:
+            return SiteMap(((self.matrix[0][0] * other.matrix[0][0],),), shift)
+        (m11, m12), (m21, m22) = self.matrix
+        (n11, n12), (n21, n22) = other.matrix
+        return SiteMap(((m11 * n11 + m12 * n21, m11 * n12 + m12 * n22),
+                        (m21 * n11 + m22 * n21, m21 * n12 + m22 * n22)), shift)
 
     def inverse(self) -> "SiteMap":
-        # signed permutations are orthogonal, so the inverse matrix is the transpose
-        inv = tuple(zip(*self.matrix))
-        shift = tuple(-sum(m * t for m, t in zip(row, self.shift)) for row in inv)
-        return SiteMap(inv, shift)
+        # signed permutations are orthogonal, so the inverse matrix is the
+        # transpose (in 1-D, +-1 is its own inverse)
+        if len(self.shift) == 1:
+            ((m,),), (t,) = self.matrix, self.shift
+            return SiteMap(self.matrix, (-m * t,))
+        (m11, m12), (m21, m22) = self.matrix
+        t1, t2 = self.shift
+        return SiteMap(((m11, m21), (m12, m22)),
+                       (-m11 * t1 - m21 * t2, -m12 * t1 - m22 * t2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisMapOperator:
     """Unitary acting by U|x> = phase_form(x) * |site_map(x)>."""
 
@@ -423,20 +431,25 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
     commutant words must be exactly those with zero p exponents, supporting
     the tensor factorization of the plane representation.
 
-    Words are the left-associated products ((p1^j1 p2^j2) q1^k1) q2^k2,
-    built from hoisted prefixes: p1^j1 p2^j2 once per (j1, j2), its product
-    with q1^k1 once per (j1, j2, k1), so each word costs one composition more
-    (plus |e| per generator power e, once per scan).  Each word is then
-    composed with p1 and with p2 on both sides and compared exactly; p2 is
-    tried only when p1 commutes.
+    Each word is prefix q2^k2 with prefix = (p1^j1 p2^j2) q1^k1, built once
+    per (j1, j2, k1) from p1^j1 p2^j2, itself built once per (j1, j2).  A
+    word commutes with g (p1 or p2) iff prefix (q2^k2 g) = (g prefix) q2^k2,
+    with q2^k2 g built once per k2 and g prefix once per prefix, so each
+    side costs one composition per word and the word itself is never built
+    (plus |e| compositions per generator power e, once per scan).  Exact
+    composition is associative, so this is the same decision as comparing
+    word g with g word.  p2 is tried only when p1 commutes.
     """
     flux.require_irrational("the commutant scan")
     if max_exp < 0:
         raise ValueError("max_exp must be nonnegative")
     rep = build_wavefunction(flux)
+    p1, p2 = rep.p1, rep.p2
     exponent_range = range(-max_exp, max_exp + 1)
     p1s, p2s, q1s, q2s = (
-        {e: g**e for e in exponent_range} for g in (rep.p1, rep.p2, rep.q1, rep.q2))
+        {e: g**e for e in exponent_range} for g in (p1, p2, rep.q1, rep.q2))
+    q2s_p1 = {e: q2 @ p1 for e, q2 in q2s.items()}
+    q2s_p2 = {e: q2 @ p2 for e, q2 in q2s.items()}
     commutant = []
     violations = []
     for j1, j2 in itertools.product(exponent_range, repeat=2):
@@ -444,10 +457,10 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
         expected = (j1 == 0 and j2 == 0)
         for k1 in exponent_range:
             prefix = p_prefix @ q1s[k1]
+            p1_prefix, p2_prefix = p1 @ prefix, p2 @ prefix
             for k2 in exponent_range:
-                word = prefix @ q2s[k2]
-                commutes = ((word @ rep.p1).equals(rep.p1 @ word, flux)
-                            and (word @ rep.p2).equals(rep.p2 @ word, flux))
+                commutes = ((prefix @ q2s_p1[k2]).equals(p1_prefix @ q2s[k2], flux)
+                            and (prefix @ q2s_p2[k2]).equals(p2_prefix @ q2s[k2], flux))
                 if commutes:
                     commutant.append((j1, j2, k1, k2))
                 if commutes != expected:

@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ExactPhase",
@@ -45,21 +46,31 @@ class RationalFluxError(ValueError):
     """An operation that needs an irrational flux was given a rational one."""
 
 
-@dataclass(frozen=True)
-class ExactPhase:
+class _PhaseTriple(NamedTuple):
+    a: int
+    b: int
+    c: int
+
+
+class ExactPhase(_PhaseTriple):
     """Element of the circle group, e^{i(a*th/2 + b*pi + c*ph/2)}.
 
-    The group law is componentwise addition of the integer triples; the pi
-    coefficient is kept canonical in {0, 1} since b and b + 2 give the same
-    phase for every parameter value.
+    The group law, written *, is componentwise addition of the integer
+    triples; the pi coefficient is kept canonical in {0, 1} since b and
+    b + 2 give the same phase for every parameter value.  The triple is an
+    immutable tuple, so hashing and equality run in C, as for
+    algebra.Monomial (and + is tuple concatenation, not the group law).
     """
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", self.b % 2)
+    def __new__(cls, a: int = 0, b: int = 0, c: int = 0) -> "ExactPhase":
+        return tuple.__new__(cls, (a, b % 2, c))
+
+    @classmethod
+    def _make(cls, iterable) -> "ExactPhase":
+        # _replace builds through _make, so it folds b too
+        return cls(*iterable)
 
     @classmethod
     def identity(cls) -> "ExactPhase":

@@ -423,7 +423,8 @@ class ButterflyDataset:
 
     def symmetry_report(self) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries, each
-        within SYMMETRY_TOLERANCE for a symmetric dataset."""
+        within SYMMETRY_TOLERANCE for a symmetric dataset; a NaN sample makes
+        both deviations NaN, so the dataset is not symmetric."""
         table = {(n, d): s for n, d, s in self.entries}
         flux_dev = energy_dev = 0.0
         for (n, d), samples in table.items():
@@ -431,8 +432,10 @@ class ButterflyDataset:
             if partner is None or partner.size != samples.size:
                 raise ValueError(f"flux {n}/{d}: its reflection {(d - n) % d}/{d} "
                                  "is missing or has another sample count")
-            flux_dev = max(flux_dev, float(np.max(np.abs(samples - partner))))
-            energy_dev = max(energy_dev, float(np.max(np.abs(samples + samples[::-1]))))
+            # np.maximum keeps a NaN deviation, which Python's max drops
+            flux_dev = float(np.maximum(flux_dev, np.max(np.abs(samples - partner))))
+            energy_dev = float(np.maximum(energy_dev,
+                                          np.max(np.abs(samples + samples[::-1]))))
         return {
             "flux_reflection_deviation": flux_dev,
             "energy_negation_deviation": energy_dev,

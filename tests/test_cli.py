@@ -163,6 +163,21 @@ class TestButterfly:
                          "energy negation deviation 2.000e-06")
         assert summary.endswith("(q_max=4, k_grid=8); use --out to save")
 
+    def test_check_fails_on_a_nan_sample(self, capsys, monkeypatch):
+        sweep = fluxlattice.spectral.butterfly
+
+        def poisoned(q_max, k_grid):
+            dataset = sweep(q_max, k_grid)
+            samples = {(n, d): s for n, d, s in dataset.entries}[1, 3]
+            samples[5] = float("nan")
+            return dataset
+
+        monkeypatch.setattr(fluxlattice.spectral, "butterfly", poisoned)
+        code, out, _ = run(capsys, "butterfly", "--q-max", "3", "--k-grid", "4", "--check")
+        assert code == 1
+        assert out.splitlines()[0] == ("symmetry check: flux reflection deviation nan, "
+                                       "energy negation deviation nan")
+
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "b.json"
         code, _, _ = run(capsys, "butterfly", "--q-max", "4", "--k-grid", "6",

@@ -284,7 +284,9 @@ class TestCommutant:
         assert report.violations == violations
 
     def test_composition_count(self, monkeypatch):
-        # 12,739 compositions when every word is built from its four powers
+        # 12,739 compositions when every word is built from its four powers,
+        # 8,329 when each word is built from hoisted prefixes and then
+        # composed with p1 and p2 on both sides
         calls = []
         matmul = BasisMapOperator.__matmul__
 
@@ -293,7 +295,7 @@ class TestCommutant:
             return matmul(self, other)
         monkeypatch.setattr(BasisMapOperator, "__matmul__", counted)
         assert commutant_monomial_check(GOLDEN, 3).passed
-        assert len(calls) <= 8329
+        assert len(calls) <= 6628
 
     def test_twisted_q1_reports_violations(self, monkeypatch):
         # q1 with an extra e^{i*th*m1} no longer commutes with p1
@@ -626,6 +628,28 @@ class TestFusedComposition:
             reference_matmul(bilinear, shear)
         with pytest.raises(ValueError):
             bilinear @ shear
+
+
+class TestClosedFormSiteMap:
+    """SiteMap.apply, compose and inverse against index-loop matrix
+    arithmetic, for every 1-D and 2-D signed permutation."""
+
+    SHIFTS = {1: [(0,), (1,), (-3,), (7,)],
+              2: [(0, 0), (1, 0), (0, -1), (-3, 5), (7, 2)]}
+    SITES = {1: [(0,), (2,), (-5,)], 2: [(0, 0), (3, -2), (-1, 4)]}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_matrix_arithmetic(self, dim):
+        mats = SIGNED_PERMUTATIONS_1D if dim == 1 else SIGNED_PERMUTATIONS_2D
+        maps = [SiteMap(m, t) for m in mats for t in self.SHIFTS[dim]]
+        assert len(maps) == (8 if dim == 1 else 40)
+        for x in maps:
+            for site in self.SITES[dim]:
+                assert x.apply(site) == reference_apply(x, site)
+            assert x.inverse() == reference_site_inverse(x)
+            assert x.compose(x.inverse()) == SiteMap.identity(dim)
+            for y in maps:
+                assert x.compose(y) == reference_site_compose(x, y)
 
 
 def reference_equals(x, y, flux):

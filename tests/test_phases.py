@@ -45,6 +45,7 @@ class TestExactPhaseGroup:
         for _ in range(100):
             x, y, z = rand_phase(), rand_phase(), rand_phase()
             assert (x * y) * z == x * (y * z)
+            assert hash((x * y) * z) == hash(x * (y * z))
 
     def test_abelian(self):
         for _ in range(50):
@@ -55,6 +56,19 @@ class TestExactPhaseGroup:
         assert ExactPhase(0, 2, 0) == ExactPhase.identity()
         assert ExactPhase(0, 5, 0) == ExactPhase(0, 1, 0)
         assert ExactPhase(0, -1, 0) == ExactPhase(0, 1, 0)
+        for b in range(-3, 4):
+            x = ExactPhase(3, b, -2)
+            assert x.b == b % 2 and (x.a, x.c) == (3, -2)
+            assert x == ExactPhase(3, b % 2, -2)
+            assert hash(x) == hash(ExactPhase(3, b % 2, -2))
+            assert x._replace(b=b) == x
+
+    def test_immutable_triple(self):
+        x = ExactPhase(1, 0, 2)
+        with pytest.raises(AttributeError):
+            x.a = 5
+        assert x == ExactPhase(1, 0, 2)
+        assert ExactPhase() == ExactPhase.identity() == ExactPhase(0, 0, 0)
 
     def test_generic_identity_criterion(self):
         assert ExactPhase(0, 2, 0).is_identity(GOLDEN)

@@ -250,6 +250,15 @@ class TestButterfly:
         assert report["flux_reflection_deviation"] < 1e-9
         assert report["energy_negation_deviation"] < 1e-9
 
+    def test_symmetry_report_keeps_a_nan_deviation(self):
+        # a NaN must survive the running maximum: Python's max(0.0, nan) is 0.0
+        ds = butterfly(3, 4)
+        {(n, d): s for n, d, s in ds.entries}[1, 3][5] = np.nan
+        report = ds.symmetry_report()
+        assert math.isnan(report["flux_reflection_deviation"])
+        assert math.isnan(report["energy_negation_deviation"])
+        assert report["symmetric"] is False
+
     def test_symmetry_report_names_a_missing_reflection(self):
         # as read from a partial file
         ds = butterfly(3, 4)
