@@ -226,9 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once per process; every main call parses with it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
@@ -239,4 +241,4 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        PARSER.exit(2, f"{PARSER.prog}: error: {exc}\n")

@@ -41,6 +41,7 @@ __all__ = [
     "gauge_intertwiner",
     "gauge_report",
     "commutant_monomial_check",
+    "CommutantReport",
     "truncate",
 ]
 
@@ -434,11 +435,12 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
     Each word is prefix q2^k2 with prefix = (p1^j1 p2^j2) q1^k1, built once
     per (j1, j2, k1) from p1^j1 p2^j2, itself built once per (j1, j2).  A
     word commutes with g (p1 or p2) iff prefix (q2^k2 g) = (g prefix) q2^k2,
-    with q2^k2 g built once per k2 and g prefix once per prefix, so each
-    side costs one composition per word and the word itself is never built
-    (plus |e| compositions per generator power e, once per scan).  Exact
-    composition is associative, so this is the same decision as comparing
-    word g with g word.  p2 is tried only when p1 commutes.
+    with q2^k2 g built once per k2 and g prefix at most once per prefix, so
+    each side costs one composition per word and the word itself is never
+    built (plus |e| compositions per generator power e, once per scan).
+    Exact composition is associative, so this is the same decision as
+    comparing word g with g word.  p2 is tried only when p1 commutes, and
+    p2 prefix is built the first time that happens for its prefix.
     """
     flux.require_irrational("the commutant scan")
     if max_exp < 0:
@@ -457,10 +459,13 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
         expected = (j1 == 0 and j2 == 0)
         for k1 in exponent_range:
             prefix = p_prefix @ q1s[k1]
-            p1_prefix, p2_prefix = p1 @ prefix, p2 @ prefix
+            p1_prefix, p2_prefix = p1 @ prefix, None
             for k2 in exponent_range:
-                commutes = ((prefix @ q2s_p1[k2]).equals(p1_prefix @ q2s[k2], flux)
-                            and (prefix @ q2s_p2[k2]).equals(p2_prefix @ q2s[k2], flux))
+                commutes = (prefix @ q2s_p1[k2]).equals(p1_prefix @ q2s[k2], flux)
+                if commutes:
+                    if p2_prefix is None:
+                        p2_prefix = p2 @ prefix
+                    commutes = (prefix @ q2s_p2[k2]).equals(p2_prefix @ q2s[k2], flux)
                 if commutes:
                     commutant.append((j1, j2, k1, k2))
                 if commutes != expected:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["RelationCheck", "RelationReport"]
+
 # Most memory one request may hold.
 ALLOCATION_BUDGET_BYTES = 1 << 30
 

@@ -461,7 +461,8 @@ def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two sorted sample sets on the line, each
-    compared against the other _COMPARE_CHUNK samples at a time."""
+    compared against the other _COMPARE_CHUNK samples at a time; NaN if
+    either set holds a NaN, in either argument order."""
     def directed(x: np.ndarray, y: np.ndarray) -> float:
         worst = []
         for lo in range(0, x.size, _COMPARE_CHUNK):
@@ -471,7 +472,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
             right = y[np.clip(pos, 0, y.size - 1)]
             worst.append(np.max(np.minimum(np.abs(part - left), np.abs(part - right))))
         return float(np.max(worst))
-    return max(directed(a, b), directed(b, a))
+    return float(np.maximum(directed(a, b), directed(b, a)))
 
 
 @dataclass

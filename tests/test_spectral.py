@@ -1074,6 +1074,12 @@ class TestHausdorff:
         assert hausdorff_distance(np.array([0.0]), np.array([3.0])) == 3.0
         assert hausdorff_distance(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
 
+    def test_a_nan_sample_gives_nan_in_either_order(self):
+        # Python's max(0.0, nan) is 0.0, which dropped the NaN in one order
+        with_nan, without = np.array([0.0, math.nan]), np.array([0.0])
+        assert math.isnan(hausdorff_distance(with_nan, without))
+        assert math.isnan(hausdorff_distance(without, with_nan))
+
     def test_against_brute_force(self):
         for _ in range(20):
             a = np.sort(np.array([rng.uniform(-4, 4) for _ in range(rng.randint(1, 12))]))
