@@ -22,18 +22,26 @@ those last bits.
 
 Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
 one) through the same LAPACK call as one batched call, so the eigenvalues
-are bit-identical.  One rule sizes every request before its first solve:
-every returned flux's samples stay held, plus the largest transient of one
-flux solve (its reduced eigenvalues and one chunk of matrices) and a fixed
-slack, against reporting.ALLOCATION_BUDGET_BYTES.  The budget bounds
-memory, not run time.
+are bit-identical.  A solve of more than one chunk runs in up to _LANES
+lanes, one per CPU that the BLAS leaves idle at the thread count its
+environment sets (one lane when none is set, since the BLAS then uses
+every CPU).  Lane i builds and solves chunks i, i + lanes, ... in its own
+buffer of _STACK_CHUNK_BYTES // _LANES, into disjoint rows of one
+eigenvalue array, so lanes change neither the matrices nor the LAPACK
+call.  One rule sizes every request before its first solve: every
+returned flux's samples stay held, plus the largest transient of one flux
+solve (its reduced eigenvalues and every lane's chunk of matrices) and a
+fixed slack, against reporting.ALLOCATION_BUDGET_BYTES.  The budget
+bounds memory, not run time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+import os
+import threading
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -60,7 +68,8 @@ __all__ = [
 SYMMETRY_TOLERANCE = 1e-9
 
 _HAMILTONIAN = harper_element()  # the one element every Bloch matrix represents
-# Bloch matrices built and solved at once; a larger stack is solved in chunks.
+# Bloch matrices built and solved at once, shared by the lanes; a larger
+# stack is solved in chunks.
 _STACK_CHUNK_BYTES = 1 << 22
 # Samples hausdorff_distance compares at once, with 48 bytes of temporaries each.
 _COMPARE_CHUNK = 1 << 12
@@ -68,9 +77,27 @@ _COMPARE_CHUNK = 1 << 12
 _SLACK_BYTES = 1 << 18
 
 
+def _lane_count(cpus: int, environ: Mapping[str, str]) -> int:
+    """Solve lanes on `cpus` usable CPUs: the CPUs over the BLAS's thread
+    count, the first positive integer among its environment settings, and
+    one lane when there is none, since the BLAS then uses every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, cpus // threads)
+    return 1
+
+
+_LANES = _lane_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1, os.environ)
+
+
 def _chunk_length(den: int) -> int:
-    """Bloch matrices per solved chunk at denominator den, at least one."""
-    return max(1, _STACK_CHUNK_BYTES // (16 * den * den))
+    """Bloch matrices per lane's chunk at denominator den, at least one."""
+    return max(1, _STACK_CHUNK_BYTES // _LANES // (16 * den * den))
 
 
 def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
@@ -78,16 +105,18 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
     solves one flux per q in `dens`, so a lazy sweep is never listed whole.
     Each flux holds its samples, 128 bytes a band and 512 of objects; on top
     come the largest solve transient (the reduced eigenvalues, which bound
-    a butterfly flux's class eigenvalues too, and one chunk of matrices with
-    their row temporaries, plus one more matrix) and _SLACK_BYTES."""
+    a butterfly flux's class eigenvalues too, and each busy lane's chunk of
+    matrices with their row temporaries, plus one more matrix a lane) and
+    _SLACK_BYTES."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
     for q in dens:
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+        step = _chunk_length(q)
         held += 8 * q * k_grid * k_grid + 128 * (q + 4)
-        transient = max(transient, 8 * q * n_k
-                        + (min(n_k, _chunk_length(q)) + 1) * (16 * q * q + 56 * q + 64))
+        transient = max(transient, 8 * q * n_k + min(_LANES, -(-n_k // step))
+                        * (min(n_k, step) + 1) * (16 * q * q + 56 * q + 64))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
 
@@ -160,18 +189,41 @@ def _merge_bands(band_ranges: list[tuple[float, float]]) -> tuple[tuple[float, f
 def _solve_points(num: int, den: int, n: int,
                   momenta: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Eigenvalues of the n Bloch matrices at the momenta (k1, k2) =
-    momenta(i) of the point indices i = 0 .. n - 1, solved in order,
-    _STACK_CHUNK_BYTES of matrices at a time, into one (n, q) array: each
-    chunk asks for its own momenta, so no array of n momenta is held.  Every
-    chunk is built in one buffer: a fresh 4 MiB array per chunk can leave
-    the allocator holding two."""
+    momenta(i) of the point indices i = 0 .. n - 1, solved in chunks of
+    _chunk_length(den) matrices into one (n, q) array: each chunk asks for
+    its own momenta, so no array of n momenta is held.  Lane i solves chunks
+    i, i + lanes, ... in order, lane 0 in the calling thread and the others
+    on threads started only when there is more than one chunk; every lane
+    builds its chunks in one buffer, since a fresh array per chunk can leave
+    the allocator holding two.  All lanes are joined before the first
+    exception of any lane is raised."""
     step = _chunk_length(den)
+    starts = range(0, n, step)
+    lanes = min(_LANES, len(starts))
     eigs = np.empty((n, den))
-    chunk = np.empty((min(step, n), den, den), dtype=complex)
-    for lo in range(0, n, step):
-        k1, k2 = momenta(np.arange(lo, min(lo + step, n)))
-        eigs[lo:lo + step] = np.linalg.eigvalsh(
-            _bloch_stack(num, den, k1, k2, chunk[:k1.size]))
+    buffers = [np.empty((min(step, n), den, den), dtype=complex) for _ in range(lanes)]
+    errors: list[BaseException | None] = [None] * lanes
+
+    def solve(lane: int) -> None:
+        chunk = buffers[lane]
+        try:
+            for lo in starts[lane::lanes]:
+                k1, k2 = momenta(np.arange(lo, min(lo + step, n)))
+                eigs[lo:lo + step] = np.linalg.eigvalsh(
+                    _bloch_stack(num, den, k1, k2, chunk[:k1.size]))
+        except BaseException as exc:  # raised in the calling thread once all lanes end
+            errors[lane] = exc
+
+    threads = [threading.Thread(target=solve, args=(lane,), name=f"spectral lane {lane}")
+               for lane in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    solve(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return eigs
 
 

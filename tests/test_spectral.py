@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -769,16 +773,18 @@ class TestBlockReader:
 def held_rule(dens, k_grid):
     """The figure the held-memory rule gives after each q in dens, term by
     term: every flux's samples, bands and objects, plus the largest one-flux
-    transient (reduced eigenvalues and one chunk plus one more matrix)
-    and the slack."""
+    transient (reduced eigenvalues and, for each lane that has a chunk to
+    solve, one chunk plus one more matrix) and the slack."""
     held = transient = 0
     figures = []
     for q in dens:
         samples = q * k_grid * k_grid
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
-        chunk = min(n_k, max(1, spectral._STACK_CHUNK_BYTES // (16 * q * q)))
+        step = max(1, spectral._STACK_CHUNK_BYTES // spectral._LANES // (16 * q * q))
+        lanes = min(spectral._LANES, math.ceil(n_k / step))
         held += 8 * samples + 128 * q + 512
-        transient = max(transient, 8 * q * n_k + (chunk + 1) * (16 * q * q + 56 * q + 64))
+        transient = max(transient, 8 * q * n_k
+                        + lanes * (min(n_k, step) + 1) * (16 * q * q + 56 * q + 64))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
@@ -894,14 +900,18 @@ def traced_request(monkeypatch, request):
         "butterfly 30 k10", "butterfly 20 k40"])
 def test_sized_figure_bounds_what_the_request_holds(monkeypatch, request_):
     """The figure a request is sized at is at least the tracemalloc peak of
-    running it, and at most three times that peak.  The returned samples are
-    counted exactly, so a sweep that returns many of them is sized close to
-    its peak; the rest of the figure bounds the rest of the peak with at
-    least 15 % to spare.  tracemalloc sees the numpy arrays and Python
-    objects, not LAPACK's workspace, which numpy allocates outside it."""
-    figure, peak, samples = traced_request(monkeypatch, request_)
-    assert peak <= figure <= 3 * peak
-    assert figure - samples >= 1.15 * (peak - samples)
+    running it, and at most three times that peak, in one lane and in two.
+    The returned samples are counted exactly, so a sweep that returns many
+    of them is sized close to its peak; the rest of the figure bounds the
+    rest of the peak with at least 15 % to spare.  tracemalloc sees the
+    numpy arrays and Python objects of every thread, not LAPACK's
+    workspace, which numpy allocates outside it."""
+    for lanes in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_LANES", lanes)
+            figure, peak, samples = traced_request(patch, request_)
+        assert peak <= figure <= 3 * peak
+        assert figure - samples >= 1.15 * (peak - samples)
 
 
 def reference_solve_reduced(num, den, k_grid):
@@ -935,6 +945,7 @@ class TestChunkedSolve:
     @pytest.mark.parametrize("k_grid", [7, 8, 12, 16])
     @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (2, 5), (3, 8), (8, 13), (21, 34)])
     def test_bit_identical_to_the_whole_stack(self, monkeypatch, nu, q, k_grid):
+        monkeypatch.setattr(spectral, "_LANES", 1)
         flux = Flux.rational(nu, q)
         ref_samples, ref_bands = reference_spectrum(nu, q, k_grid)
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
@@ -958,6 +969,7 @@ class TestChunkedSolve:
         def keep(a):
             stacks.append(a)
             return eigvalsh(a)
+        monkeypatch.setattr(spectral, "_LANES", 1)
         monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * 16 * 3 * 3)
         monkeypatch.setattr(np.linalg, "eigvalsh", keep)
         spectrum(Flux.rational(1, 3), 8)
@@ -989,8 +1001,8 @@ class TestChunkedSolve:
         assert peak <= ratio * est.samples.nbytes
 
     def test_large_stack_is_never_held_whole(self):
-        # the q = 169 stack at k_grid 12 is 144 matrices, 66 MB; one chunk is
-        # 9 of them, 4.1 MB
+        # the q = 169 stack at k_grid 12 is 144 matrices, 66 MB; one lane's
+        # chunk is 9 of them, 4.1 MB, and each of two lanes' is 4
         tracemalloc.start()
         try:
             spectrum(Flux.rational(70, 169), 12)
@@ -1051,22 +1063,202 @@ class TestChambersClasses:
         assert len(walks) == 1
 
     @pytest.mark.parametrize("request_,sha256", [
-        (lambda: approximant_spectra(Flux.golden(), 10, 16).spectra,
-         "f80dbf6bfd09a173b00981be90b53f30270443ae11f5148c422d4c3a7bf8d51f"),
-        (lambda: approximant_spectra(Flux.sqrt2(), 6, 12).spectra,
-         "509a278d8b7e187e8d5dfcd2b7f4f7c6f770c01d435da7bf2ee0bbff2b74bf2e"),
-        (lambda: [spectrum(Flux.rational(70, 169), 12)],
-         "8abff24329a37c9126e46ecfc028b35436239ecbb61a29cd9c4129463ca58327"),
+        ("approximant_spectra(Flux.golden(), 10, 16).spectra",
+         {1: "f80dbf6bfd09a173b00981be90b53f30270443ae11f5148c422d4c3a7bf8d51f",
+          2: "f80dbf6bfd09a173b00981be90b53f30270443ae11f5148c422d4c3a7bf8d51f"}),
+        ("approximant_spectra(Flux.sqrt2(), 6, 12).spectra",
+         {1: "ccab867228c46d5ec08cbc41f60c6b2311ec4785a7a73b048d8d1d9a86baaa5f",
+          2: "509a278d8b7e187e8d5dfcd2b7f4f7c6f770c01d435da7bf2ee0bbff2b74bf2e"}),
+        ("[spectrum(Flux.rational(70, 169), 12)]",
+         {1: "e698f234a9d6f1f30f35d8dcd84b387498a98cb87b1d116e2a71481e71fec6e5",
+          2: "8abff24329a37c9126e46ecfc028b35436239ecbb61a29cd9c4129463ca58327"}),
     ], ids=["golden 10 k16", "sqrt2 6 k12", "spectrum 70/169 k12"])
     def test_spectrum_keeps_the_per_point_bits(self, request_, sha256):
         # the samples and bands of the per-point solve, as numpy 2.4.6 with
-        # its bundled OpenBLAS computes them; the class solve would move the
-        # samples by about 1e-14 and report 8 bands, not 7, at golden 5/8
-        digest = hashlib.sha256()
-        for est in request_():
-            digest.update(est.samples.tobytes())
-            digest.update(repr(est.bands).encode())
-        assert digest.hexdigest() == sha256
+        # its bundled OpenBLAS computes them at one and at two BLAS threads
+        # (threaded OpenBLAS moves the q = 169 bits; two threads need two
+        # CPUs); the class solve would move the samples by about 1e-14 and
+        # report 8 bands, not 7, at golden 5/8
+        for threads, expected in sha256.items():
+            assert run_python(["-c", PINNED_DIGEST.format(request=request_)],
+                              threads) == expected + "\n", threads
+
+
+PINNED_DIGEST = """
+import hashlib
+from fluxlattice.phases import Flux
+from fluxlattice.spectral import approximant_spectra, spectrum
+digest = hashlib.sha256()
+for est in {request}:
+    digest.update(est.samples.tobytes())
+    digest.update(repr(est.bands).encode())
+print(digest.hexdigest())
+"""
+
+
+def run_python(args, openblas_threads):
+    """stdout of `python args...` in a fresh process that imports this
+    checkout's package, with OPENBLAS_NUM_THREADS set to openblas_threads,
+    or with no BLAS thread setting at all when it is None."""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, text=True,
+                          env=env, timeout=120, check=True).stdout
+
+
+def lane_of_this_thread():
+    """The lane the calling thread runs: 0 in the main thread."""
+    thread = threading.current_thread()
+    return 0 if thread is threading.main_thread() else int(thread.name.rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+class TestLanes:
+    @pytest.mark.parametrize("k_grid", [7, 8, 12, 16])
+    @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (2, 5), (3, 8), (8, 13), (21, 34)])
+    def test_bit_identical_to_the_whole_stack(self, monkeypatch, lanes, nu, q, k_grid):
+        monkeypatch.setattr(spectral, "_LANES", lanes)
+        ref_samples, ref_bands = reference_spectrum(nu, q, k_grid)
+        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+        # one matrix a chunk, a short last chunk, and fewer chunks than lanes
+        short = next(c for c in range(2, n_k) if n_k % c)
+        for per_chunk in (1, short, -(-n_k // (lanes - 1))):
+            monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", per_chunk * lanes * 16 * q * q)
+            est = spectrum(Flux.rational(nu, q), k_grid)
+            assert est.samples.tobytes() == ref_samples.tobytes(), per_chunk
+            assert est.bands == ref_bands
+
+    def test_every_point_is_solved_once_by_its_lane(self, monkeypatch, lanes):
+        # 40 points of 1/3 in chunks of 3: lane i solves chunks i, i + lanes, ...
+        monkeypatch.setattr(spectral, "_LANES", lanes)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 3 * lanes * 16 * 3 * 3)
+        ks = TWO_PI * np.arange(8) / 8
+        solved = []
+
+        def momenta(i):
+            solved.append((lane_of_this_thread(), i))
+            return ks[i // 8], ks[i % 8]
+        eigs = spectral._solve_points(1, 3, 40, momenta)
+        points = np.concatenate([i for _lane, i in solved])
+        assert np.array_equal(np.sort(points), np.arange(40))
+        for lane in range(lanes):
+            assert [i[0] for solver, i in solved if solver == lane] == list(
+                range(3 * lane, 40, 3 * lanes))
+        whole = np.linalg.eigvalsh(bloch_stack(1, 3, *momenta(np.arange(40))))
+        assert eigs.tobytes() == whole.tobytes()
+
+    def test_each_lane_reuses_one_buffer(self, monkeypatch, lanes):
+        monkeypatch.setattr(spectral, "_LANES", lanes)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+
+        def keep(a):
+            stacks.append((lane_of_this_thread(), a))
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", keep)
+        spectrum(Flux.rational(1, 3), 8)
+        firsts = {}
+        for lane, a in stacks:
+            assert np.shares_memory(a, firsts.setdefault(lane, a))
+        assert sorted(firsts) == list(range(lanes))
+        assert not any(np.shares_memory(firsts[a], firsts[b])
+                       for a in firsts for b in firsts if a < b)
+
+    def test_only_a_solve_of_several_chunks_starts_threads(self, monkeypatch, lanes):
+        monkeypatch.setattr(spectral, "_LANES", lanes)
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        spectrum(Flux.rational(1, 3), 8)
+        assert started == []
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
+        spectrum(Flux.rational(1, 3), 8)
+        assert started == [f"spectral lane {lane}" for lane in range(1, lanes)]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_in_a_lane_is_raised_after_every_lane_ends(self, monkeypatch, lanes,
+                                                                 failing):
+        monkeypatch.setattr(spectral, "_LANES", lanes)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
+        eigvalsh = np.linalg.eigvalsh
+
+        def fail_in_one_lane(a):
+            if lane_of_this_thread() == failing:
+                raise np.linalg.LinAlgError(f"lane {failing}")
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_in_one_lane)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match=f"lane {failing}"):
+            spectrum(Flux.rational(1, 3), 8)
+        assert threading.active_count() == before
+
+
+def test_many_lanes_switching_often_keep_every_row(monkeypatch):
+    # eight lanes, more than the CPUs of a small host, with the interpreter
+    # switching threads every microsecond: a lost or misplaced row moves bytes
+    monkeypatch.setattr(spectral, "_LANES", 8)
+    monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 8 * 16 * 8 * 8)
+    ref_samples, ref_bands = reference_spectrum(3, 8, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            est = spectrum(Flux.rational(3, 8), 16)
+            assert est.samples.tobytes() == ref_samples.tobytes()
+            assert est.bands == ref_bands
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus,environ,lanes", [
+    (2, {}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "3"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": ""}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
+    (4, {"OMP_NUM_THREADS": "1"}, 4),
+    (4, {"MKL_NUM_THREADS": "2"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "0", "MKL_NUM_THREADS": "2"}, 2),
+])
+def test_lanes_are_the_cpus_the_blas_leaves_idle(cpus, environ, lanes):
+    assert spectral._lane_count(cpus, environ) == lanes
+
+
+def test_never_more_lanes_than_cpus():
+    for cpus in range(1, 9):
+        for value in ("1", "2", "3", "0", "", "x", "-1", "16"):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                assert 1 <= spectral._lane_count(cpus, {var: value}) <= cpus
+
+
+def test_cli_output_does_not_depend_on_the_blas_threads():
+    # the text stdout is the same bytes; the JSON prints band edges in full,
+    # and threaded OpenBLAS moves the q = 169 edges by about 1e-14
+    argv = ["-m", "fluxlattice", "spectrum", "--flux", "sqrt2", "--depth", "6",
+            "--k-grid", "12", "--format"]
+    assert run_python([*argv, "text"], None) == run_python([*argv, "text"], 1)
+    default, one = (json.loads(run_python([*argv, "json"], threads)) for threads in (None, 1))
+    floats = ("hausdorff_distances", "spectra")
+    assert ({k: v for k, v in default.items() if k not in floats}
+            == {k: v for k, v in one.items() if k not in floats})
+    np.testing.assert_allclose(default["hausdorff_distances"], one["hausdorff_distances"],
+                               rtol=0, atol=1e-12)
+    for a, b in zip(default["spectra"], one["spectra"], strict=True):
+        assert (a["phi"], a["n_samples"]) == (b["phi"], b["n_samples"])
+        np.testing.assert_allclose(a["bands"], b["bands"], rtol=0, atol=1e-12)
 
 
 class TestHausdorff:
