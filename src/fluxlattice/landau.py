@@ -69,9 +69,9 @@ class LandauOperators:
     y: np.ndarray         # y ⊗ I = P2, -I ⊗ y = Q2
     ham_mode: np.ndarray  # Hamiltonian restricted to the velocity mode
 
-    @property
+    @cached_property
     def ang_mode(self) -> np.ndarray:
-        """S = (x^2 + y^2)/(2r), so that L = I⊗S - S⊗I."""
+        """S = (x^2 + y^2)/(2r), so that L = I⊗S - S⊗I; built on first read."""
         return (self.x @ self.x + self.y @ self.y) / (2.0 * self.r)
 
     @cached_property
@@ -103,7 +103,10 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
         raise ValueError("invalid parameters: mass must be positive")
     if n_max < 4:
         raise ValueError("invalid parameters: n_max must be at least 4")
-    require_allocation(3 * n_max * n_max * 16, f"the Landau factors at n_max={n_max}")
+    # x, y, ham_mode and ang_mode, then at most four n_max^2 transients: the
+    # build's ladder and products, or a check's commutator and its norm's copy
+    require_allocation(8 * n_max * n_max * 16,
+                       f"the Landau operators and checks at n_max={n_max}")
 
     a = _ladder(n_max)
     sgn = 1.0 if r > 0 else -1.0
@@ -157,19 +160,22 @@ def _bracket_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
     residuals are exactly zero, as they are on the assembled matrices.
     """
     x, y, s = ops.x, ops.y, ops.ang_mode
-    ir = 1j * ops.r * np.eye(ops.n_max)
+    # each Q residual is a P one exactly negated, or the same expression
+    p1_p2 = _interior_norm(_comm(x, y) - 1j * ops.r * np.eye(ops.n_max))
+    l_p1 = _interior_norm(-_comm(s, x) - 1j * y)
+    l_p2 = _interior_norm(-_comm(s, y) + 1j * x)
     return [
-        ("bracket_p1_p2", _interior_norm(_comm(x, y) - ir), "[P1,P2] = ir"),
-        ("bracket_q1_q2", _interior_norm(ir - _comm(x, y)), "[Q1,Q2] = -ir"),
+        ("bracket_p1_p2", p1_p2, "[P1,P2] = ir"),
+        ("bracket_q1_q2", p1_p2, "[Q1,Q2] = -ir"),
         ("bracket_p1_q1", 0.0, "[P1,Q1] = 0"),
         ("bracket_p1_q2", 0.0, "[P1,Q2] = 0"),
         ("bracket_p2_q1", 0.0, "[P2,Q1] = 0"),
         ("bracket_p2_q2", 0.0, "[P2,Q2] = 0"),
         # [I⊗S - S⊗I, A⊗I] = -[S,A]⊗I and [I⊗S - S⊗I, I⊗B] = I⊗[S,B]
-        ("bracket_L_p1", _interior_norm(-_comm(s, x) - 1j * y), "[L,P1] = iP2"),
-        ("bracket_L_p2", _interior_norm(-_comm(s, y) + 1j * x), "[L,P2] = -iP1"),
-        ("bracket_L_q1", _interior_norm(_comm(s, x) + 1j * y), "[L,Q1] = iQ2"),
-        ("bracket_L_q2", _interior_norm(-_comm(s, y) + 1j * x), "[L,Q2] = -iQ1"),
+        ("bracket_L_p1", l_p1, "[L,P1] = iP2"),
+        ("bracket_L_p2", l_p2, "[L,P2] = -iP1"),
+        ("bracket_L_q1", l_p1, "[L,Q1] = iQ2"),
+        ("bracket_L_q2", l_p2, "[L,Q2] = -iQ1"),
         ("angular_momentum_identity", 0.0, "L = (Q^2 - P^2)/2r with constant 0"),
     ]
 

@@ -110,10 +110,8 @@ class ExactPhase(_PhaseTriple):
 
     def evaluate(self, theta: float, phi: float = 0.0) -> complex:
         """Numeric value exp(i(a*theta/2 + b*pi + c*phi/2))."""
-        return complex(
-            math.cos(0.5 * self.a * theta + math.pi * self.b + 0.5 * self.c * phi),
-            math.sin(0.5 * self.a * theta + math.pi * self.b + 0.5 * self.c * phi),
-        )
+        angle = 0.5 * self.a * theta + math.pi * self.b + 0.5 * self.c * phi
+        return complex(math.cos(angle), math.sin(angle))
 
     def __str__(self) -> str:
         parts = []

@@ -124,7 +124,7 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
 def _validate_fraction(num: int, den: int) -> None:
     if den < 1:
         raise ValueError(f"denominator must be positive, got {den}")
-    if not (0 <= num < den or (num == 0 and den == 1)):
+    if not 0 <= num < den:
         raise ValueError(f"flux fraction {num}/{den} must satisfy 0 <= nu < q")
     if math.gcd(num, den) != 1:
         raise ValueError(f"flux fraction {num}/{den} is not in lowest terms")
@@ -174,16 +174,6 @@ class SpectrumEstimate:
             "bands": [[lo, hi] for lo, hi in self.bands],
             "n_samples": int(self.samples.size),
         }
-
-
-def _merge_bands(band_ranges: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    merged: list[list[float]] = []
-    for lo, hi in sorted(band_ranges):
-        if merged and lo < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
 
 
 def _solve_points(num: int, den: int, n: int,
@@ -260,7 +250,11 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     g = math.gcd(den, k_grid)
     eigs = _solve_points(num, den, (k_grid // g) * k_grid,
                          lambda i: (ks[i // k_grid], ks[i % k_grid]))
-    bands = _merge_bands(list(zip(eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist())))
+    # each row is ascending, so band j's bottom and top never fall as j grows:
+    # band j starts a merged band unless it overlaps the top of band j - 1
+    lo, hi = eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist()
+    first = [j for j in range(den) if j == 0 or lo[j] >= hi[j - 1]]
+    bands = tuple((lo[a], hi[b - 1]) for a, b in zip(first, [*first[1:], den]))
     flat = eigs.ravel()
     flat.sort()
     return SpectrumEstimate(flux, np.repeat(flat, g), bands, k_grid)

@@ -1,6 +1,7 @@
 """Truncated-oscillator checks of the continuum theory."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,7 +43,8 @@ class TestBuild:
             build_landau(1.0, value, 10)
 
     def test_allocation_budget_covers_the_three_factors(self, monkeypatch):
-        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 3 * 10 * 10 * 16)
+        # the four stored factors and four transients, each n_max^2 complex
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 8 * 10 * 10 * 16)
         assert build_landau(1.0, 1.0, 10).x.shape == (10, 10)
         with pytest.raises(ValueError, match="allocation budget"):
             build_landau(1.0, 1.0, 11)
@@ -55,6 +57,46 @@ class TestBuild:
             ops.ham
         monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 10**4 * 16)
         assert np.array_equal(ops.ham, np.kron(np.eye(10), ops.ham_mode))
+
+    @pytest.mark.parametrize("n_max", [100, 300])
+    def test_figure_bounds_the_peak(self, monkeypatch, n_max):
+        # everything a landau command holds: the build, both reports and the
+        # lowest levels; at n_max 128 and below numpy does not reuse the
+        # buffer of a temporary, so the peak is about one matrix higher there
+        figures = []
+        require = landau.require_allocation
+        monkeypatch.setattr(landau, "require_allocation",
+                            lambda nbytes, what: figures.append(nbytes) or require(nbytes, what))
+        tracemalloc.start()
+        try:
+            ops = build_landau(1.0, 1.0, n_max)
+            bracket_report(ops)
+            lorentz_check(ops)
+            hamiltonian_spectrum(ops, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(figures) == 1
+        assert peak <= figures[0] <= 3 * peak
+
+    def test_a_command_builds_ang_mode_once(self, monkeypatch):
+        # the build's finiteness check reads S first; the two reports reuse it
+        # and make one commutator per distinct residual
+        builds, comms = [], []
+        prop = vars(landau.LandauOperators)["ang_mode"]
+        ang_mode, comm = prop.func, landau._comm
+        monkeypatch.setattr(prop, "func", lambda ops: builds.append(ops) or ang_mode(ops))
+        monkeypatch.setattr(landau, "_comm", lambda a, b: comms.append(a) or comm(a, b))
+        ops = build_landau(1.0, 1.0, 12)
+        assert builds == [ops]
+        bracket_report(ops)
+        lorentz_check(ops)
+        assert builds == [ops]
+        assert len(comms) == 6
+        # a replaced operator set carries no cached S
+        flipped = dataclasses.replace(ops, r=-ops.r)
+        assert np.array_equal(flipped.ang_mode, -ops.ang_mode)
+        assert builds == [ops, flipped]
 
     def test_hamiltonian_is_the_only_full_space_matrix(self):
         ops = build_landau(1.0, 1.0, 8)

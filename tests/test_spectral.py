@@ -926,11 +926,16 @@ def reference_solve_reduced(num, den, k_grid):
 def reference_spectrum(num, den, k_grid):
     """Reference samples and bands: the whole-stack solve, its eigenvalues
     tiled gcd(q, k_grid) times and then sorted, as the spectrum was first
-    assembled."""
+    assembled, and its per-band [min, max] intervals sorted and merged
+    wherever one starts below the running top of the last."""
     eigs, g = reference_solve_reduced(num, den, k_grid)
-    bands = spectral._merge_bands(list(zip(eigs.min(axis=0).tolist(),
-                                           eigs.max(axis=0).tolist())))
-    return np.sort(np.tile(eigs.ravel(), g)), bands
+    merged = []
+    for lo, hi in sorted(zip(eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist())):
+        if merged and lo < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return np.sort(np.tile(eigs.ravel(), g)), tuple((lo, hi) for lo, hi in merged)
 
 
 def count_eigvalsh(monkeypatch):
@@ -942,40 +947,6 @@ def count_eigvalsh(monkeypatch):
 
 
 class TestChunkedSolve:
-    @pytest.mark.parametrize("k_grid", [7, 8, 12, 16])
-    @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (2, 5), (3, 8), (8, 13), (21, 34)])
-    def test_bit_identical_to_the_whole_stack(self, monkeypatch, nu, q, k_grid):
-        monkeypatch.setattr(spectral, "_LANES", 1)
-        flux = Flux.rational(nu, q)
-        ref_samples, ref_bands = reference_spectrum(nu, q, k_grid)
-        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
-        # one matrix per chunk, then the fewest per chunk that leave a short
-        # last chunk
-        short = next(c for c in range(2, n_k) if n_k % c)
-        for per_chunk in (1, short):
-            with monkeypatch.context() as patch:
-                patch.setattr(spectral, "_STACK_CHUNK_BYTES", per_chunk * 16 * q * q)
-                shapes = count_eigvalsh(patch)
-                est = spectrum(flux, k_grid)
-            assert [s[0] for s in shapes] == [per_chunk] * (n_k // per_chunk) + (
-                [n_k % per_chunk] if n_k % per_chunk else [])
-            assert est.samples.tobytes() == ref_samples.tobytes()
-            assert est.bands == ref_bands
-
-    def test_chunks_are_built_in_one_buffer(self, monkeypatch):
-        # a fresh chunk each time can leave the allocator holding two
-        stacks, eigvalsh = [], np.linalg.eigvalsh
-
-        def keep(a):
-            stacks.append(a)
-            return eigvalsh(a)
-        monkeypatch.setattr(spectral, "_LANES", 1)
-        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * 16 * 3 * 3)
-        monkeypatch.setattr(np.linalg, "eigvalsh", keep)
-        spectrum(Flux.rational(1, 3), 8)
-        assert [s.shape[0] for s in stacks] == [5] * 12 + [4]
-        assert all(np.shares_memory(s, stacks[0]) for s in stacks)
-
     def test_sort_then_repeat_is_the_tiled_sort(self):
         # every reduced flux with q <= 14 at grids that share all, some or no
         # factors with q; tobytes tells 0.0 from -0.0
@@ -1116,8 +1087,20 @@ def lane_of_this_thread():
     return 0 if thread is threading.main_thread() else int(thread.name.rsplit(" ", 1)[1])
 
 
-@pytest.mark.parametrize("lanes", [2, 3])
+def chunks_by_lane(n, per_chunk, lanes):
+    """The size of every chunk each lane solves, in order, when n points are
+    solved per_chunk at a time: lane i takes chunks i, i + used, ... where
+    used is the number of lanes that get a chunk."""
+    sizes = [min(per_chunk, n - lo) for lo in range(0, n, per_chunk)]
+    used = min(lanes, len(sizes))
+    return {lane: sizes[lane::used] for lane in range(used)}
+
+
+ALL_LANES = pytest.mark.parametrize("lanes", [1, 2, 3])
+
+
 class TestLanes:
+    @ALL_LANES
     @pytest.mark.parametrize("k_grid", [7, 8, 12, 16])
     @pytest.mark.parametrize("nu,q", [(0, 1), (1, 2), (2, 5), (3, 8), (8, 13), (21, 34)])
     def test_bit_identical_to_the_whole_stack(self, monkeypatch, lanes, nu, q, k_grid):
@@ -1126,12 +1109,19 @@ class TestLanes:
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
         # one matrix a chunk, a short last chunk, and fewer chunks than lanes
         short = next(c for c in range(2, n_k) if n_k % c)
-        for per_chunk in (1, short, -(-n_k // (lanes - 1))):
-            monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", per_chunk * lanes * 16 * q * q)
-            est = spectrum(Flux.rational(nu, q), k_grid)
+        fewer = [-(-n_k // (lanes - 1))] if lanes > 1 else []
+        for per_chunk in (1, short, *fewer):
+            solved, eigvalsh = {}, np.linalg.eigvalsh
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_STACK_CHUNK_BYTES", per_chunk * lanes * 16 * q * q)
+                patch.setattr(np.linalg, "eigvalsh", lambda a: solved.setdefault(
+                    lane_of_this_thread(), []).append(a.shape[0]) or eigvalsh(a))
+                est = spectrum(Flux.rational(nu, q), k_grid)
+            assert solved == chunks_by_lane(n_k, per_chunk, lanes), per_chunk
             assert est.samples.tobytes() == ref_samples.tobytes(), per_chunk
             assert est.bands == ref_bands
 
+    @ALL_LANES
     def test_every_point_is_solved_once_by_its_lane(self, monkeypatch, lanes):
         # 40 points of 1/3 in chunks of 3: lane i solves chunks i, i + lanes, ...
         monkeypatch.setattr(spectral, "_LANES", lanes)
@@ -1151,7 +1141,9 @@ class TestLanes:
         whole = np.linalg.eigvalsh(bloch_stack(1, 3, *momenta(np.arange(40))))
         assert eigs.tobytes() == whole.tobytes()
 
+    @ALL_LANES
     def test_each_lane_reuses_one_buffer(self, monkeypatch, lanes):
+        # a fresh chunk each time can leave the allocator holding two
         monkeypatch.setattr(spectral, "_LANES", lanes)
         monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
         stacks, eigvalsh = [], np.linalg.eigvalsh
@@ -1161,13 +1153,15 @@ class TestLanes:
             return eigvalsh(a)
         monkeypatch.setattr(np.linalg, "eigvalsh", keep)
         spectrum(Flux.rational(1, 3), 8)
-        firsts = {}
+        sizes, firsts = {}, {}
         for lane, a in stacks:
+            sizes.setdefault(lane, []).append(a.shape[0])
             assert np.shares_memory(a, firsts.setdefault(lane, a))
-        assert sorted(firsts) == list(range(lanes))
+        assert sizes == chunks_by_lane(64, 5, lanes)
         assert not any(np.shares_memory(firsts[a], firsts[b])
                        for a in firsts for b in firsts if a < b)
 
+    @ALL_LANES
     def test_only_a_solve_of_several_chunks_starts_threads(self, monkeypatch, lanes):
         monkeypatch.setattr(spectral, "_LANES", lanes)
         started = []
@@ -1183,6 +1177,7 @@ class TestLanes:
         spectrum(Flux.rational(1, 3), 8)
         assert started == [f"spectral lane {lane}" for lane in range(1, lanes)]
 
+    @pytest.mark.parametrize("lanes", [2, 3])
     @pytest.mark.parametrize("failing", [0, 1])
     def test_an_error_in_a_lane_is_raised_after_every_lane_ends(self, monkeypatch, lanes,
                                                                  failing):
