@@ -133,18 +133,6 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.terms() + other.terms())
 
-    def __rmul__(self, coeff: complex) -> "AlgebraElement":
-        if isinstance(coeff, (int, float, complex)):
-            return AlgebraElement([(coeff * c, m) for c, m in self.terms()])
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        if isinstance(other, (int, float, complex)):
-            return self.__rmul__(other)
-        return NotImplemented
-
     def phase_twisted(self, phase: ExactPhase) -> "AlgebraElement":
         """Multiply every term by a constant exact phase."""
         return AlgebraElement(
@@ -181,10 +169,12 @@ def generator(name: str, power: int = 1) -> AlgebraElement:
 
 
 def one() -> AlgebraElement:
+    """The unit of the group algebra: coefficient 1 on the identity word."""
     return AlgebraElement([(1.0, Monomial((0, 0, 0, 0), ExactPhase.identity()))])
 
 
 def scalar(coeff: complex) -> AlgebraElement:
+    """coeff times the unit, a multiple of the identity word."""
     return AlgebraElement([(coeff, Monomial((0, 0, 0, 0), ExactPhase.identity()))])
 
 

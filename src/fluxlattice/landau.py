@@ -41,11 +41,14 @@ BRACKET_TOLERANCE = 1e-10
 LORENTZ_TOLERANCE = 1e-8
 
 
-def _ladder(n: int) -> np.ndarray:
+def _quadratures(n: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """x = c(a + a†) and y = sign(r) c i(a† - a), c = sqrt(|r|/2), for the
+    ladder a truncated to n states; a is freed on return."""
     a = np.zeros((n, n), dtype=complex)
     ks = np.arange(1, n)
     a[ks - 1, ks] = np.sqrt(ks)
-    return a
+    scale = np.sqrt(abs(r) / 2.0)
+    return scale * (a + a.conj().T), math.copysign(1.0, r) * scale * 1j * (a.conj().T - a)
 
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,16 +107,13 @@ def build_landau(r: float, mass: float, n_max: int) -> LandauOperators:
     if n_max < 4:
         raise ValueError("invalid parameters: n_max must be at least 4")
     # x, y, ham_mode and ang_mode, then at most four n_max^2 transients: the
-    # build's ladder and products, or a check's commutator and its norm's copy
+    # ladder and its sums while x and y are built, the mode products, or a
+    # check's commutator and its norm's copy
     require_allocation(8 * n_max * n_max * 16,
                        f"the Landau operators and checks at n_max={n_max}")
 
-    a = _ladder(n_max)
-    sgn = 1.0 if r > 0 else -1.0
     with np.errstate(all="ignore"):  # finite r and m can still overflow the factors
-        scale = np.sqrt(abs(r) / 2.0)
-        x = scale * (a + a.conj().T)
-        y = sgn * scale * 1j * (a.conj().T - a)
+        x, y = _quadratures(n_max, r)
         ham_mode = (x @ x + y @ y) / (2.0 * mass)
         ops = LandauOperators(r=r, mass=mass, n_max=n_max, x=x, y=y,
                               ham_mode=ham_mode)
@@ -161,9 +161,9 @@ def _bracket_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
     """
     x, y, s = ops.x, ops.y, ops.ang_mode
     # each Q residual is a P one exactly negated, or the same expression
-    p1_p2 = _interior_norm(_comm(x, y) - 1j * ops.r * np.eye(ops.n_max))
-    l_p1 = _interior_norm(-_comm(s, x) - 1j * y)
-    l_p2 = _interior_norm(-_comm(s, y) + 1j * x)
+    p1_p2 = _interior_norm(_comm(x, y) - np.diag(np.full(ops.n_max, 1j * ops.r)))
+    l_p1 = _interior_norm(_comm(x, s) - 1j * y)  # -[S,x] - iy
+    l_p2 = _interior_norm(_comm(y, s) + 1j * x)  # -[S,y] + ix
     return [
         ("bracket_p1_p2", p1_p2, "[P1,P2] = ir"),
         ("bracket_q1_q2", p1_p2, "[Q1,Q2] = -ir"),

@@ -271,6 +271,7 @@ class BasisMapOperator:
 
 
 def commutator(x: BasisMapOperator, y: BasisMapOperator) -> BasisMapOperator:
+    """The group commutator x y x^-1 y^-1."""
     return x @ y @ x.inverse() @ y.inverse()
 
 

@@ -21,6 +21,8 @@ def require_allocation(nbytes: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class RelationCheck:
+    """One named check: whether it holds, a site witnessing a failure, detail."""
+
     name: str
     holds: bool
     witness_site: tuple | None = None
@@ -29,6 +31,8 @@ class RelationCheck:
 
 @dataclass
 class RelationReport:
+    """Checks in the order they were added; passes when every check holds."""
+
     checks: list[RelationCheck] = field(default_factory=list)
 
     def add(self, name: str, holds: bool, witness_site: tuple | None = None,

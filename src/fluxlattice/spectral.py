@@ -532,6 +532,9 @@ class ApproximantSequence:
 
 
 def approximant_spectra(flux: Flux, depth: int, k_grid: int) -> ApproximantSequence:
+    """The spectra of the first depth continued-fraction convergents of an
+    irrational flux on k_grid, with the Hausdorff distance of each
+    consecutive pair."""
     convergents = flux.convergents(depth)
     _require_held([c.denominator for c in convergents], k_grid, "the approximant sequence")
     spectra = [spectrum(Flux.rational(c.numerator, c.denominator), k_grid)

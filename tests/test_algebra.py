@@ -84,6 +84,11 @@ class TestCanonicalForm:
         assert len(hashes) == 5
 
 
+def test_unknown_generator_names_the_four():
+    with pytest.raises(ValueError, match=r"unknown generator 'p3'.*'p1', 'p2', 'q1', 'q2'"):
+        generator("p3")
+
+
 class TestMultiply:
     def test_transposition_phase(self):
         p1, p2 = generator("p1"), generator("p2")
@@ -413,6 +418,9 @@ class TestRendering:
     def test_term_format(self):
         x = AlgebraElement([(2.0, Monomial((2, -1, 0, 3), ExactPhase(1, 0, 0)))])
         assert str(x) == "(2+0i)·e^{iθ/2}·p1^2 p2^-1 q1^0 q2^3"
+
+    def test_empty_element_is_zero(self):
+        assert str(AlgebraElement()) == "0"
 
     def test_sum_and_scalar_format(self):
         assert str(one()) == "(1+0i)·p1^0 p2^0 q1^0 q2^0"

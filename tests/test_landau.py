@@ -79,6 +79,18 @@ class TestBuild:
         assert len(figures) == 1
         assert peak <= figures[0] <= 3 * peak
 
+    def test_build_frees_the_ladder_before_the_mode_products(self):
+        # x, y, ham_mode and ang_mode, with one transient at a time; the
+        # ladder outliving x and y would make it six
+        n_max = 300
+        tracemalloc.start()
+        try:
+            build_landau(1.0, 1.0, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 16 * n_max**2
+
     def test_a_command_builds_ang_mode_once(self, monkeypatch):
         # the build's finiteness check reads S first; the two reports reuse it
         # and make one commutator per distinct residual

@@ -3,7 +3,8 @@
 The exact layer (phases, reporting, algebra, operators) and the Landau
 checker stay apart from the floating-point spectral module and the CLI,
 and every import sits at module top, where the dependency graph shows it.
-The package namespace is exactly the union of the modules' `__all__`.
+The package namespace is exactly the union of the modules' `__all__`, and
+every function and class in it has a docstring in the source.
 """
 
 import ast
@@ -102,6 +103,31 @@ def test_init_only_reexports_each_module():
         else:
             assert isinstance(node, ast.Expr)  # the docstring
     assert stars == EXPORTING
+
+
+def exported_without_docstring(tree: ast.Module) -> list[str]:
+    """Functions and classes named in the module's `__all__` that have no
+    docstring in the source; a dataclass's generated one does not count."""
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+                for elt in node.value.elts}
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in exported and ast.get_docstring(node) is None]
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_every_exported_function_and_class_has_a_docstring(name):
+    assert exported_without_docstring(parse(PACKAGE / f"{name}.py")) == []
+
+
+def test_the_docstring_scan_ignores_private_and_generated_docstrings():
+    tree = ast.parse('__all__ = ["Bare", "bare", "kept"]\n'
+                     "@dataclass\nclass Bare:\n    x: int\n"
+                     "def bare():\n    return 1\n"
+                     'def kept():\n    """Doc."""\n'
+                     "def _private():\n    return 2\n")
+    assert exported_without_docstring(tree) == ["Bare", "bare"]
 
 
 def test_package_exports_exactly_the_union_of_all():

@@ -311,6 +311,10 @@ class TestFlux:
         with pytest.raises(ValueError, match="flux value must be finite"):
             Flux.parse("9" * 400)
 
+    def test_irrational_denominator_access_raises(self):
+        with pytest.raises(RationalFluxError, match="no denominator"):
+            _ = GOLDEN.denominator
+
     def test_irrational_numerator_access_raises(self):
         with pytest.raises(RationalFluxError):
             _ = GOLDEN.numerator
