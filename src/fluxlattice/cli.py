@@ -148,12 +148,14 @@ def cmd_gauge_check(args) -> int:
     s = ops_mod.gauge_intertwiner(u)
     zeta = ops_mod.build_wavefunction(flux).zeta
     rotation_commutes = (s @ zeta).equals(zeta @ s, flux)
-    header = (f"intertwiner S = diag(e^{{-i·{u}·φ·m1·m2}}), "
+    # -i·u·φ·m1·m2 with the sign of u folded in
+    sign, units = ("-", u) if u >= 0 else ("", -u)
+    header = (f"intertwiner S = diag(e^{{{sign}i·{units}·φ·m1·m2}}), "
               f"gauge units {u}")
     note = (f"S commutes with the rotation: {rotation_commutes} "
              f"(expected only at gauge 0)")
     payload = {"flux": str(flux), "phi_units": u,
-               "intertwiner_phase": f"-{u}*phi*m1*m2",
+               "intertwiner_phase": f"{sign}{units}*phi*m1*m2",
                "all_pass": report.all_pass,
                "rotation_commutes": rotation_commutes,
                "relations": report.to_json_dict()}

@@ -5,9 +5,10 @@ At flux nu/q the Bloch matrices are the hopping element
 magnetic translations at momenta (k1, k2): diagonal 2*cos(k2 + 2*pi*nu*m/q),
 unit super/subdiagonals and corners e^{-+ i q k1}.  A matrix depends on k1
 only through e^{i q k1}, so it is exactly periodic in k1 with period 2*pi/q;
-`spectrum` solves one representative per residue class of the uniform grid,
-sorts those eigenvalues and repeats each one gcd(q, k_grid) times, which
-never changes the reported samples.
+`spectrum` solves one representative per residue class of the uniform grid
+and sorts those eigenvalues: they are the samples when gcd(q, k_grid) = 1,
+and each is repeated gcd(q, k_grid) times otherwise, which never changes
+the reported samples.
 
 Its eigenvalues depend on (k1, k2) only through cos(q k1) + cos(q k2)
 (Chambers, Phys. Rev. 140, A135 (1965)).  On the grid k = 2*pi*j/k_grid,
@@ -257,7 +258,7 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     bands = tuple((lo[a], hi[b - 1]) for a, b in zip(first, [*first[1:], den]))
     flat = eigs.ravel()
     flat.sort()
-    return SpectrumEstimate(flux, np.repeat(flat, g), bands, k_grid)
+    return SpectrumEstimate(flux, flat if g == 1 else np.repeat(flat, g), bands, k_grid)
 
 
 def _reduced_fluxes(q_max: int) -> Iterator[tuple[int, int]]:

@@ -84,6 +84,27 @@ class TestCanonicalForm:
         assert len(hashes) == 5
 
 
+class TestContainerProtocol:
+    def test_len_counts_the_terms(self):
+        assert len(harper_element()) == 4
+        assert len(AlgebraElement()) == 0
+
+    def test_equal_elements_hash_equal(self):
+        a, b = harper_element(), harper_element()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, one()}) == 2
+
+    def test_repr_wraps_the_str(self):
+        h = harper_element()
+        assert repr(h) == f"AlgebraElement({h})"
+        assert repr(AlgebraElement()) == "AlgebraElement(0)"
+
+    def test_another_type_compares_by_identity(self):
+        h = harper_element()
+        assert h.__eq__(h.terms()) is NotImplemented
+        assert h != h.terms()
+
+
 def test_unknown_generator_names_the_four():
     with pytest.raises(ValueError, match=r"unknown generator 'p3'.*'p1', 'p2', 'q1', 'q2'"):
         generator("p3")

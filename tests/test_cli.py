@@ -69,6 +69,17 @@ class TestClassify:
         recorded = (CORPUS / f"01-classify.{fmt}").read_text(encoding="utf-8")
         assert path.read_text(encoding="utf-8") == recorded.split("--- stdout\n", 1)[1]
 
+    def test_negative_rational_flux_is_attached_with_equals(self, capsys):
+        # "-1/3" is not number-like, so argparse takes it for an option
+        # unless it is attached to --flux with "="
+        code, out, _ = run(capsys, "classify", "--flux=-1/3")
+        assert code == 0
+        assert "rational_with_kernel(3), Φ = 2/3" in out
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--flux", "-1/3"])
+        assert err.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_bad_flux_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["classify", "--flux", "euler"])
@@ -271,6 +282,17 @@ class TestGaugeCheck:
                            "--phi-units", "2", "--format", "json")
         doc = json.loads(out)
         assert doc["intertwiner_phase"] == "-2*phi*m1*m2"
+        assert doc["all_pass"] is True
+
+    def test_negative_units_fold_the_sign(self, capsys):
+        code, out, _ = run(capsys, "gauge-check", "--flux", "1/3", "--phi-units", "-2")
+        assert code == 0
+        assert out.startswith("intertwiner S = diag(e^{i·2·φ·m1·m2}), gauge units -2\n")
+        code, out, _ = run(capsys, "gauge-check", "--flux", "1/3", "--phi-units", "-2",
+                           "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["phi_units"], doc["intertwiner_phase"]) == (-2, "2*phi*m1*m2")
         assert doc["all_pass"] is True
 
 

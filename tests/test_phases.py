@@ -70,6 +70,11 @@ class TestExactPhaseGroup:
         assert x == ExactPhase(1, 0, 2)
         assert ExactPhase() == ExactPhase.identity() == ExactPhase(0, 0, 0)
 
+    def test_product_with_another_type_raises(self):
+        assert ExactPhase().__mul__(2) is NotImplemented
+        with pytest.raises(TypeError):
+            ExactPhase() * 2
+
     def test_generic_identity_criterion(self):
         assert ExactPhase(0, 2, 0).is_identity(GOLDEN)
         assert not ExactPhase(1, 0, 0).is_identity(GOLDEN)

@@ -588,6 +588,9 @@ class TestAgainstReference:
         shifted = ButterflyDataset(2, 4, [(0, 1, np.array([-1.0, 1.0, 0.0])),
                                           ds.entries[1]])
         assert shifted != ds
+        # another type compares by identity
+        assert ds.__eq__(ds.entries) is NotImplemented
+        assert ds != ds.entries
 
     W = spectral._ROWS_PER_WRITE
     NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
@@ -958,11 +961,13 @@ class TestChunkedSolve:
                     assert est.samples.tobytes() == ref_samples.tobytes(), (nu, q, k_grid)
                     assert est.bands == ref_bands
 
-    @pytest.mark.parametrize("nu,q,k_grid,ratio", [(1, 8, 800, 1.25), (1, 2, 1000, 1.75)])
+    @pytest.mark.parametrize("nu,q,k_grid,ratio", [
+        (1, 8, 800, 1.25), (1, 2, 1000, 1.75), (2, 5, 601, 1.6), (1, 7, 401, 1.85)])
     def test_solve_holds_no_copy_of_the_samples(self, nu, q, k_grid, ratio):
-        # the samples, the reduced eigenvalues (1/gcd(q, k_grid) of the
-        # samples) and one chunk; a tiled copy beside its sorted copy would
-        # hold twice the samples
+        # at gcd(q, k_grid) > 1 the samples, the reduced eigenvalues
+        # (1/gcd(q, k_grid) of the samples) and one chunk; at gcd 1 the
+        # sorted eigenvalues are the samples, so only one chunk comes on
+        # top, and a repeated copy beside them would hold twice the samples
         tracemalloc.start()
         try:
             est = spectrum(Flux.rational(nu, q), k_grid)
