@@ -164,8 +164,16 @@ def cmd_gauge_check(args) -> int:
     return 0 if report.all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises what it cannot read, for `main` to report on its one error
+    line; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fluxlattice",
         description="Exact magnetic-translation phase algebra and Harper spectra",
     )
@@ -232,8 +240,8 @@ PARSER = build_parser()  # built once per process; every main call parses with i
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -289,7 +290,7 @@ def _group_by_flux(blocks: Iterable[tuple[np.ndarray, np.ndarray]]
         # a copy, so no part holds its block's records
         nums, dens, energies = rows["num"], rows["den"], rows["energy"].copy()
         starts = np.flatnonzero((nums[1:] != nums[:-1]) | (dens[1:] != dens[:-1])) + 1
-        bounds = [0, *starts.tolist(), rows.size] if rows.size else []
+        bounds = [0, *starts.tolist(), rows.size]
         for lo, hi in zip(bounds, bounds[1:]):
             runs.setdefault((int(nums[lo]), int(dens[lo])), []).append(
                 (energies[lo:hi], counts[lo:hi]))
@@ -312,33 +313,39 @@ def _expand(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return out
 
 
-# Bytes of CSV lines the reader takes at once; readlines stops at the line
-# that reaches it.
+# Bytes the readers take at once: CSV readlines stops at the line that
+# reaches it, and JSON reads exactly this many characters.
 _READ_BYTES = 1 << 16
 
 
-def _csv_blocks(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(`_ROW` records, run lengths) of the CSV body from fh, read in blocks
-    of about _READ_BYTES of lines: empty lines are dropped, and of each
-    run of equal consecutive lines only the first is parsed, by np.loadtxt,
-    since equal lines parse to equal bits.  A malformed row raises numpy's
+def _parsed(blocks: Iterable[list[str]], row: Callable[[str], str]
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(`_ROW` records, run lengths) of each non-empty block of strings: of
+    each run of equal consecutive strings only row(first string), a CSV
+    row, is parsed, by np.loadtxt, since equal strings give equal bits."""
+    for block in blocks:
+        strings = np.array(block, dtype=object)
+        cuts = np.flatnonzero(np.concatenate(([True], strings[1:] != strings[:-1])))
+        records = np.loadtxt([row(s) for s in strings[cuts].tolist()], dtype=_ROW,
+                             delimiter=",", comments=None, ndmin=1)
+        yield records, np.diff(cuts, append=strings.size)
+
+
+def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`_parsed` of the CSV body from fh, in blocks of about _READ_BYTES of
+    lines without the empty ones.  A malformed row raises numpy's
     ValueError, which names the row by its index in the whole body."""
     body = fh.tell()
-    while block := fh.readlines(_READ_BYTES):
-        lines = np.array([line for line in block if line != "\n"], dtype=object)
-        if not lines.size:
-            continue
-        cuts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
-        try:
-            records = np.loadtxt(lines[cuts].tolist(), dtype=_ROW, delimiter=",",
-                                 comments=None, ndmin=1)
-        except ValueError:
-            # numpy counts the rows of what it is given; parse the whole
-            # body so that the message names the row in the file
-            fh.seek(body)
-            np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
-            raise
-        yield records, np.diff(cuts, append=lines.size)
+    blocks = ([line for line in block if line != "\n"]
+              for block in iter(lambda: fh.readlines(_READ_BYTES), []))
+    try:
+        yield from _parsed(filter(None, blocks), str)
+    except ValueError:
+        # numpy counts the rows of what it is given; parse the whole body
+        # so that the message names the row in the file
+        fh.seek(body)
+        np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+        raise
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
@@ -348,18 +355,57 @@ _CSV_HEADER = "phi_num,phi_den,energy"
 _ROWS_PER_WRITE = 256
 
 
-def _json_point(obj: dict):
-    """json.load hook: each point object becomes its (nu, q, energy) row as
-    it is parsed, so the reader never holds a dict and a list per point."""
-    if "phi" not in obj:
-        return obj
-    try:
-        (num, den), energy = obj["phi"], obj["E"]
-        if type(num) is int and type(den) is int and type(energy) in (int, float):
-            return num, den, float(energy)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"malformed butterfly point {obj!r}")
+# What `to_json` writes before its points, and each point between its
+# `{` and `}`: a JSON integer of at most 18 digits never overflows int64,
+# and E is a float repr or json's NaN, Infinity or -Infinity.
+_JSON_HEAD = re.compile(r'\{"q_max": (-?\d+), "k_grid": (-?\d+), "points": \[')
+_JSON_INT = r"(-?(?:0|[1-9]\d{0,17}))"
+_JSON_POINT = re.compile(rf'"phi": \[{_JSON_INT}, {_JSON_INT}\], "E": '
+                         r"(-?(?:0|[1-9]\d*)(?:\.\d+)?(?:e[-+]\d+)?|NaN|-?Infinity)")
+
+
+def _json_row(point: str) -> str:
+    """The CSV row `nu,q,E` of a point's text between `{` and `}`."""
+    match = _JSON_POINT.fullmatch(point)
+    if match is None:
+        raise ValueError(f"malformed butterfly point {point[:80]!r}")
+    return ",".join(match.groups())
+
+
+def _json_document(fh: TextIO) -> tuple[int, int, Iterator[list[str]]]:
+    """q_max, k_grid and the blocks of point texts of a `to_json` document,
+    whose head must lie in its first _READ_BYTES."""
+    text = fh.read(_READ_BYTES)
+    head = _JSON_HEAD.match(text)
+    if head is None:
+        raise ValueError("malformed butterfly JSON: expected the head "
+                         '{"q_max": Q, "k_grid": K, "points": [')
+    return int(head[1]), int(head[2]), _json_points(fh, text[head.end():])
+
+
+def _json_points(fh: TextIO, text: str) -> Iterator[list[str]]:
+    """Blocks of the point texts between `{` and `}` of a `to_json` body
+    that starts with text and goes on in fh, read _READ_BYTES at a time:
+    the body is `]}`, or `{`, the points joined by `}, {`, and `}]}`.  A
+    piece longer than _READ_BYTES, which no point is, is refused before the
+    next read."""
+    text += fh.read(2)  # the first read may end within two bytes of the head
+    if text == "]}" and not fh.read(1):
+        return
+    if text[:1] != "{":
+        raise ValueError(f"malformed butterfly point {text[:80]!r}")
+    piece, text = "", text[1:]
+    while text:
+        *points, piece = (piece + text).split("}, {")
+        if len(piece) > _READ_BYTES:
+            raise ValueError(f"malformed butterfly point {piece[:80]!r}")
+        if points:
+            yield points
+        text = fh.read(_READ_BYTES)
+    if not piece.endswith("}]}"):
+        raise ValueError(f"malformed butterfly JSON: expected '}}]}}' at the end, "
+                         f"got {piece[-80:]!r}")
+    yield [piece[:-3]]
 
 
 def _rows(entries: list[tuple[int, int, np.ndarray]], head: str,
@@ -392,9 +438,9 @@ class ButterflyDataset:
     Both writers take their rows from one generator, `_rows`, and write the
     bytes a row-by-row writer and `json.dump` would, at most _ROWS_PER_WRITE
     rows a write: within a write the samples fall into runs of equal bits,
-    and each run's row is formatted once and repeated.  `from_csv` parses
-    only the first of each run of equal lines, in blocks of about
-    _READ_BYTES, and `from_json` every point; both group the records by
+    and each run's row is formatted once and repeated.  Both readers take
+    their text in blocks of about _READ_BYTES, parse only the first of each
+    run of equal lines or points in `_parsed`, and group the records by
     flux in `_group_by_flux`.
     """
 
@@ -425,7 +471,7 @@ class ButterflyDataset:
 
     @classmethod
     def from_csv(cls, path: str | Path, q_max: int = 0, k_grid: int = 0) -> "ButterflyDataset":
-        """Read what `to_csv` writes through `_csv_blocks`, holding one
+        """Read what `to_csv` writes through `_csv_records`, holding one
         block of lines at a time; rows of a flux may be interleaved with
         others and empty lines are skipped.  A wrong header or a malformed
         row raises ValueError."""
@@ -433,7 +479,7 @@ class ButterflyDataset:
             header = fh.readline().strip()
             if header != _CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header!r}")
-            return cls(q_max, k_grid, _group_by_flux(_csv_blocks(fh)))
+            return cls(q_max, k_grid, _group_by_flux(_csv_records(fh)))
 
     def to_json(self, path: str | Path) -> None:
         """Write `{"q_max": .., "k_grid": .., "points": [{"phi": [nu, q],
@@ -450,23 +496,13 @@ class ButterflyDataset:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ButterflyDataset":
-        """Read what `to_json` writes; points of a flux may be interleaved
-        with others.  A malformed document or point raises ValueError."""
+        """Read the layout `to_json` writes through `_json_document`, holding
+        one block of points at a time; points of a flux may be interleaved
+        with others.  Any other layout (other whitespace or key order, extra
+        keys) or a malformed point raises ValueError."""
         with open(path) as fh:
-            doc = json.load(fh, object_hook=_json_point)
-        try:
-            points, q_max, k_grid = doc["points"], doc["q_max"], doc["k_grid"]
-            if type(q_max) is not int or type(k_grid) is not int:
-                raise TypeError
-            # np.fromiter would broadcast a bare number to a whole row
-            odd = [point for point in points if type(point) is not tuple]
-            if odd:
-                raise ValueError(f"malformed butterfly point {odd[0]!r}")
-            rows = np.fromiter(points, dtype=_ROW, count=len(points))
-        except (KeyError, TypeError, OverflowError):
-            raise ValueError("malformed butterfly JSON: expected {q_max, k_grid, "
-                             "points: [{phi: [nu, q], E}, ...]}") from None
-        return cls(q_max, k_grid, _group_by_flux([(rows, np.ones(rows.size, int))]))
+            q_max, k_grid, points = _json_document(fh)
+            return cls(q_max, k_grid, _group_by_flux(_parsed(points, _json_row)))
 
     def symmetry_report(self) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries, each

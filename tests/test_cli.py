@@ -347,6 +347,50 @@ def test_invalid_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path
     assert "Traceback" not in captured.err
 
 
+# arguments the parser cannot read: a type error for each subcommand (a
+# choice for classify, which has no typed option), a choice error, an
+# unknown command, a missing command and an unrecognized argument
+PARSER_ERRORS = [
+    (["classify", "--flux", "golden", "--format", "yaml"],
+     "argument --format: invalid choice: 'yaml'"),
+    (["verify", "--flux", "golden", "--gauge", "x"], "argument --gauge: invalid int value: 'x'"),
+    (["invariant", "--flux", "golden", "--max-j", "1.5"],
+     "argument --max-j: invalid int value: '1.5'"),
+    (["spectrum", "--flux", "1/2", "--k-grid", "abc"],
+     "argument --k-grid: invalid int value: 'abc'"),
+    (["butterfly", "--q-max", "ten"], "argument --q-max: invalid int value: 'ten'"),
+    (["landau", "--r", "one"], "argument --r: invalid float value: 'one'"),
+    (["gauge-check", "--flux", "golden", "--phi-units", "1/2"],
+     "argument --phi-units: invalid int value: '1/2'"),
+    (["butterfly", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["classify"], "the following arguments are required: --flux"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    (["classify", "--flux", "golden", "--bogus"], "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv,message", PARSER_ERRORS,
+                         ids=[" ".join(argv) or "no-command" for argv, _ in PARSER_ERRORS])
+def test_unreadable_arguments_exit_2_with_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("fluxlattice: error: ") and message in line, line
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_help_is_not_an_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: fluxlattice") and captured.err == ""
+
+
 @pytest.mark.parametrize("option,name", [("--r", "r"), ("--m", "mass")])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_landau_parameter_named(capsys, option, name, value):

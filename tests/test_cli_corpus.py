@@ -20,6 +20,7 @@ import hashlib
 import io
 import os
 import platform
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +31,7 @@ import pytest
 from fluxlattice.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the example block of README.md, in its order
 EXAMPLES = [
@@ -47,6 +49,15 @@ EXAMPLES = [
 
 CASES = [(f"{i:02d}-{argv[0]}.{fmt}", argv + ["--format", fmt])
          for i, argv in enumerate(EXAMPLES, 1) for fmt in ("text", "json")]
+
+
+def test_examples_are_the_readme_block():
+    # the one `sh` block of README.md made of fluxlattice commands
+    [block] = [text.split("```")[0]
+               for text in README.read_text(encoding="utf-8").split("```sh\n")[1:]
+               if text.startswith("fluxlattice ")]
+    assert [shlex.split(line, comments=True) for line in block.splitlines()] == [
+        ["fluxlattice", *argv] for argv in EXAMPLES]
 
 
 def transcript(argv: list[str]) -> str:

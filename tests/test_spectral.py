@@ -773,6 +773,142 @@ class TestBlockReader:
         assert peak < copies * samples.nbytes + 32 * spectral._READ_BYTES, peak
 
 
+def interleaved_rows(ds, seed):
+    """ds's rows with each flux's rows in order but cut into random runs of
+    1 to 40 rows and interleaved with the other fluxes' runs."""
+    shuffle = random.Random(seed)
+    queues = {(n, d): samples.tolist() for n, d, samples in ds.entries}
+    rows = []
+    while queues:
+        key = shuffle.choice(sorted(queues))
+        take = queues[key][:shuffle.randint(1, 40)]
+        del queues[key][:len(take)]
+        if not queues[key]:
+            del queues[key]
+        rows += [(*key, e) for e in take]
+    return rows
+
+
+def json_text(q_max, k_grid, rows):
+    return json.dumps({"q_max": q_max, "k_grid": k_grid, "points": [
+        {"phi": [n, d], "E": e} for n, d, e in rows]})
+
+
+THREE_POINTS = json_text(2, 4, [(0, 1, -1.0), (1, 2, 0.5), (1, 2, 1.5)])
+
+
+class TestJsonReader:
+    """`from_json` reads exactly the layout `to_json` writes, in blocks of
+    _READ_BYTES, and parses each run of equal points once; it must give
+    json.load's bits and refuse every other layout."""
+
+    @pytest.mark.parametrize("read_bytes", [101, 127, 509])
+    def test_small_blocks_read_the_reference_bits(self, tmp_path, monkeypatch,
+                                                   read_bytes):
+        ds = butterfly(5, 6)
+        whole, mixed = tmp_path / "whole.json", tmp_path / "mixed.json"
+        ds.to_json(whole)
+        # the rows of test_interleaved_rows_group_like_the_reference
+        mixed.write_text(json_text(5, 6, interleaved_rows(ds, 5)))
+        monkeypatch.setattr(spectral, "_READ_BYTES", read_bytes)
+        for path in (whole, mixed):
+            got = read_quietly(ButterflyDataset.from_json, path)
+            assert same_bits(got, reference_from_json(path)) and got == ds
+
+    @pytest.mark.parametrize("text", ['{"q_max": 2, "k_grid": 4, "points": []}', THREE_POINTS],
+                             ids=["no-points", "three-points"])
+    def test_a_read_may_end_at_any_byte_after_the_head(self, tmp_path, monkeypatch, text):
+        path, longer = tmp_path / "b.json", tmp_path / "longer.json"
+        path.write_text(text)
+        longer.write_text(text + "x")
+        head = len('{"q_max": 2, "k_grid": 4, "points": [')
+        for read_bytes in range(head, len(text) + 2):
+            monkeypatch.setattr(spectral, "_READ_BYTES", read_bytes)
+            assert same_bits(ButterflyDataset.from_json(path), reference_from_json(path))
+            with pytest.raises(ValueError, match="malformed butterfly"):
+                ButterflyDataset.from_json(longer)
+
+    @pytest.mark.parametrize("text", [
+        THREE_POINTS[:-3] + "]}",
+        THREE_POINTS.replace("[{", "[", 1),
+        THREE_POINTS.replace("0.5}, {", "0.5, {"),
+    ], ids=["last-without-brace", "first-without-brace", "middle-without-brace"])
+    def test_broken_framing_raises(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            reference_from_json(path)
+        with pytest.raises(ValueError, match="malformed butterfly"):
+            ButterflyDataset.from_json(path)
+
+    DOC = json.loads(THREE_POINTS)
+    OTHER_LAYOUTS = {
+        "indented": json.dumps(DOC, indent=2),
+        "trailing-newline": THREE_POINTS + "\n",
+        "swapped-point-keys": THREE_POINTS.replace('"phi": [1, 2], "E": 0.5',
+                                                   '"E": 0.5, "phi": [1, 2]'),
+        "extra-top-level-key": json.dumps({**DOC, "note": 1}),
+    }
+
+    @pytest.mark.parametrize("text", OTHER_LAYOUTS.values(), ids=OTHER_LAYOUTS.keys())
+    def test_other_layouts_raise(self, tmp_path, text):
+        # valid JSON of the same dataset, which to_json never writes
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        assert reference_from_json(path).n_rows() == 3
+        with pytest.raises(ValueError, match="malformed butterfly"):
+            ButterflyDataset.from_json(path)
+
+    def test_a_body_without_separators_is_refused_within_a_few_reads(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(THREE_POINTS[:-3].replace("1.5", "1." + "5" * 4 * 10**6) + "}]}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="malformed butterfly point"):
+                ButterflyDataset.from_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spectral._READ_BYTES, peak
+
+    def test_each_run_of_equal_points_is_parsed_once(self, tmp_path, monkeypatch):
+        ds = butterfly(12, 24)
+        path = tmp_path / "b.json"
+        ds.to_json(path)
+        points = [(*p["phi"], p["E"]) for p in json.loads(path.read_text())["points"]]
+        runs = 1 + sum(a != b for a, b in zip(points, points[1:]))
+        assert len(points) == 216_000 and runs <= 18_488
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def counting(data, *args, **kwargs):
+            data = list(data)
+            parsed.append(len(data))
+            return loadtxt(data, *args, **kwargs)
+        monkeypatch.setattr(spectral.np, "loadtxt", counting)
+        assert same_bits(ButterflyDataset.from_json(path), ds)
+        # a run cut by a block's end is parsed once in each block
+        assert sum(parsed) <= runs + len(parsed), (sum(parsed), runs, len(parsed))
+
+    @pytest.mark.parametrize("rows", ["equal", "distinct"])
+    def test_reading_holds_the_samples_and_a_few_blocks(self, tmp_path, rows):
+        # the CSV reader's bound: one block's point strings, their object
+        # array and their records, and each run held as one energy and a
+        # length until its flux is joined; json.load held every point
+        samples, copies = ((np.full(10**6, 0.1), 1) if rows == "equal"
+                           else (np.linspace(-4, 4, 2 * 10**5), 2))
+        path = tmp_path / "big.json"
+        ButterflyDataset(1, 4, [(0, 1, samples)]).to_json(path)
+        tracemalloc.start()
+        try:
+            got = ButterflyDataset.from_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, ButterflyDataset(1, 4, [(0, 1, samples)]))
+        assert peak < copies * samples.nbytes + 32 * spectral._READ_BYTES, peak
+
+
 def held_rule(dens, k_grid):
     """The figure the held-memory rule gives after each q in dens, term by
     term: every flux's samples, bands and objects, plus the largest one-flux
