@@ -73,7 +73,8 @@ _HAMILTONIAN = harper_element()  # the one element every Bloch matrix represents
 # Bloch matrices built and solved at once, shared by the lanes; a larger
 # stack is solved in chunks.
 _STACK_CHUNK_BYTES = 1 << 22
-# Samples hausdorff_distance compares at once, with 48 bytes of temporaries each.
+# Samples hausdorff_distance compares at once, with 48 bytes of temporaries
+# each, and samples `_rows` finds the runs of equal bits in at once.
 _COMPARE_CHUNK = 1 << 12
 # What no _require_held term counts: small arrays and one comparison chunk.
 _SLACK_BYTES = 1 << 18
@@ -313,8 +314,8 @@ def _expand(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return out
 
 
-# Bytes the readers take at once: CSV readlines stops at the line that
-# reaches it, and JSON reads exactly this many characters.
+# Characters the readers take at once; a CSV line or a JSON piece longer
+# than this, which no row or point is, is refused before the next read.
 _READ_BYTES = 1 << 16
 
 
@@ -331,27 +332,43 @@ def _parsed(blocks: Iterable[list[str]], row: Callable[[str], str]
         yield records, np.diff(cuts, append=strings.size)
 
 
+def _csv_lines(fh: TextIO) -> Iterator[list[str]]:
+    """The non-empty blocks of non-empty lines of fh, read _READ_BYTES
+    characters at a time and split at newlines; the last piece of a read is
+    carried into the next, and one longer than _READ_BYTES is refused."""
+    piece = ""
+    while text := fh.read(_READ_BYTES):
+        *lines, piece = (piece + text).split("\n")
+        if len(piece) > _READ_BYTES:
+            raise ValueError(f"malformed butterfly row {piece[:80]!r}")
+        if lines := list(filter(None, lines)):
+            yield lines
+    if piece:
+        yield [piece]
+
+
 def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_parsed` of the CSV body from fh, in blocks of about _READ_BYTES of
-    lines without the empty ones.  A malformed row raises numpy's
-    ValueError, which names the row by its index in the whole body."""
+    """`_parsed` of each block of `_csv_lines(fh)`, the CSV body.  A
+    malformed row raises numpy's ValueError, which names the row by its
+    index in the whole body; a line too long to carry raises its own."""
     body = fh.tell()
-    blocks = ([line for line in block if line != "\n"]
-              for block in iter(lambda: fh.readlines(_READ_BYTES), []))
-    try:
-        yield from _parsed(filter(None, blocks), str)
-    except ValueError:
-        # numpy counts the rows of what it is given; parse the whole body
-        # so that the message names the row in the file
-        fh.seek(body)
-        np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
-        raise
+    # _csv_lines runs outside the try: the whole-body parse would hold the
+    # line it refuses
+    for lines in _csv_lines(fh):
+        try:
+            yield from _parsed([lines], str)
+        except ValueError:
+            # numpy counts the rows of what it is given; parse the whole body
+            # so that the message names the row in the file
+            fh.seek(body)
+            np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            raise
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
-# Rows per write.  Bounded chunks keep each transient string and run list
-# small enough to be reused; one chunk per flux left about 0.8 MB more
-# resident after `butterfly(12, 24).to_csv`.
+# Rows per write.  Bounded writes keep each joined string small enough to
+# be reused, however long its runs; one write per flux left about 0.8 MB
+# more resident after `butterfly(12, 24).to_csv`.
 _ROWS_PER_WRITE = 256
 
 
@@ -411,17 +428,29 @@ def _json_points(fh: TextIO, text: str) -> Iterator[list[str]]:
 def _rows(entries: list[tuple[int, int, np.ndarray]], head: str,
           number: Callable[[float], str], tail: str) -> Iterator[str]:
     """Each row `head.format(nu, q) + number(e) + tail` of entries, one joined
-    string per write of at most _ROWS_PER_WRITE rows of a flux; each run of
-    equal bits is formatted once and repeated, and -0.0 and 0.0, or two NaN
-    payloads, are runs of their own."""
+    string per write of at most _ROWS_PER_WRITE rows of a flux.  The runs of
+    equal bits are found once per pass of _COMPARE_CHUNK samples, each run's
+    row is formatted once in its pass and repeated, and a run longer than
+    the room left in a write is split across writes; -0.0 and 0.0, or two
+    NaN payloads, are runs of their own."""
     for num, den, samples in entries:
         prefix = head.format(num, den)
-        for lo in range(0, samples.size, _ROWS_PER_WRITE):
-            part = samples[lo:lo + _ROWS_PER_WRITE]
+        for lo in range(0, samples.size, _COMPARE_CHUNK):
+            part = samples[lo:lo + _COMPARE_CHUNK]
             bits = part.view(np.int64)
             cuts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-            yield "".join([f"{prefix}{number(e)}{tail}" * n for e, n in zip(
-                part[cuts].tolist(), np.diff(cuts, append=part.size).tolist())])
+            write, room = [], _ROWS_PER_WRITE
+            for e, n in zip(part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()):
+                row = f"{prefix}{number(e)}{tail}"
+                while n >= room:
+                    write.append(row * room)
+                    yield "".join(write)
+                    write, n, room = [], n - room, _ROWS_PER_WRITE
+                if n:
+                    write.append(row * n)
+                    room -= n
+            if write:
+                yield "".join(write)
 
 
 def _json_number(e: float) -> str:
@@ -437,11 +466,12 @@ class ButterflyDataset:
     `entries` holds one (nu, q, sorted float64 samples) triple per flux.
     Both writers take their rows from one generator, `_rows`, and write the
     bytes a row-by-row writer and `json.dump` would, at most _ROWS_PER_WRITE
-    rows a write: within a write the samples fall into runs of equal bits,
-    and each run's row is formatted once and repeated.  Both readers take
-    their text in blocks of about _READ_BYTES, parse only the first of each
-    run of equal lines or points in `_parsed`, and group the records by
-    flux in `_group_by_flux`.
+    rows a write: within each pass of _COMPARE_CHUNK samples the samples
+    fall into runs of equal bits, and each run's row is formatted once and
+    repeated across the writes it fills.  Both readers take their text
+    _READ_BYTES characters at a time and refuse a line or point longer than
+    that, parse only the first of each run of equal lines or points in
+    `_parsed`, and group the records by flux in `_group_by_flux`.
     """
 
     q_max: int

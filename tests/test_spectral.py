@@ -642,6 +642,27 @@ class TestAgainstReference:
         assert peak < 256 * 1024, peak
         assert path.read_bytes().count(row.encode()) == 10**6
 
+    def test_each_run_is_formatted_once_a_pass(self, tmp_path, monkeypatch):
+        # runs are found once per pass of _COMPARE_CHUNK samples, so a run
+        # is formatted again only where a pass cuts it, not at each write
+        ds = butterfly(12, 24)
+        calls = []
+        number = spectral._json_number
+
+        def counting(e):
+            calls.append(e)
+            return number(e)
+        monkeypatch.setattr(spectral, "_json_number", counting)
+        path = tmp_path / "b.json"
+        ds.to_json(path)
+        head = len('{"q_max": 12, "k_grid": 24, "points": [{')
+        points = path.read_text()[head:-3].split("}, {")
+        runs = 1 + sum(a != b for a, b in zip(points, points[1:]))
+        passes = sum(-(-samples.size // spectral._COMPARE_CHUNK)
+                     for _n, _d, samples in ds.entries)
+        assert len(points) == 216_000
+        assert len(calls) <= runs + passes, (len(calls), runs, passes)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_files_match_the_reference_writers(self, tmp_path, capsys, fmt):
         # the README example size
@@ -700,6 +721,52 @@ class TestBlockReader:
             if line not in ("\n", "\r\n"))).encode())
         got = read_quietly(ButterflyDataset.from_csv, path, 3, 4)
         assert same_bits(got, reference_from_csv(ref, 3, 4))
+
+    @pytest.mark.parametrize("name", ["crlf", "runs-split-by-empty-lines",
+                                      "last-line-without-newline"])
+    def test_a_read_may_end_at_any_byte(self, tmp_path, monkeypatch, name):
+        # the file's own reads are as short as _READ_BYTES too, so that a
+        # \r may end one and its \n start the next
+        body = BLOCK_CASES[name]
+        path, ref = tmp_path / "blocks.csv", tmp_path / "ref.csv"
+        path.write_bytes((self.HEADER + body).encode())
+        ref.write_bytes((self.HEADER + "".join(
+            line for line in body.splitlines(keepends=True)
+            if line not in ("\n", "\r\n"))).encode())
+        expected = reference_from_csv(ref)
+
+        def short_reads(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            fh._CHUNK_SIZE = spectral._READ_BYTES
+            return fh
+        monkeypatch.setattr(spectral, "open", short_reads, raising=False)
+        longest = max(map(len, body.splitlines()))
+        for read_bytes in range(1, len(body) + 1):
+            monkeypatch.setattr(spectral, "_READ_BYTES", read_bytes)
+            try:
+                got = read_quietly(ButterflyDataset.from_csv, path)
+            except ValueError as err:
+                # a line is carried whole up to _READ_BYTES and refused once
+                # a carried part of it is longer; one longer than two reads
+                # always is
+                assert read_bytes < longest, (read_bytes, err)
+                assert str(err).startswith("malformed butterfly row '0"), err
+                continue
+            assert 2 * read_bytes >= longest, read_bytes
+            assert same_bits(got, expected), read_bytes
+
+    def test_a_line_longer_than_a_read_is_refused_within_a_few_reads(self, tmp_path):
+        # the line would be read whole, and its energy as inf
+        path = tmp_path / "long.csv"
+        path.write_text(self.HEADER + "0,1,0.5\n0,1," + "1" * 4 * 10**6 + "\n0,1,0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="malformed butterfly row '0,1,111"):
+                ButterflyDataset.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spectral._READ_BYTES, peak
 
     @pytest.mark.parametrize("blank", [3, 3 * spectral._READ_BYTES], ids=["few", "many-blocks"])
     def test_body_of_empty_lines_is_an_empty_dataset(self, tmp_path, blank):
