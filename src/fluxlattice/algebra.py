@@ -45,7 +45,9 @@ GENERATOR_NAMES = ("p1", "p2", "q1", "q2")
 
 
 class Monomial(NamedTuple):
-    """Normal-ordered word p1^j1 p2^j2 q1^k1 q2^k2 times an exact phase."""
+    """Normal-ordered word p1^j1 p2^j2 q1^k1 q2^k2 times an exact phase.
+    The monomial kernels below build it with tuple.__new__, skipping the
+    Python-level constructor."""
 
     exponents: tuple[int, int, int, int]
     phase: ExactPhase
@@ -69,10 +71,10 @@ def _mono_product(x: Monomial, y: Monomial) -> Monomial:
     c1, c2, d1, d2 = y.exponents
     px, py = x.phase, y.phase
     swaps = -2 * a2 * c1 + 2 * b2 * d1
-    return Monomial(
+    return tuple.__new__(Monomial, (
         (a1 + c1, a2 + c2, b1 + d1, b2 + d2),
         ExactPhase(px.a + py.a + swaps, px.b + py.b, px.c + py.c),
-    )
+    ))
 
 
 def _mono_adjoint(x: Monomial) -> Monomial:
@@ -80,10 +82,10 @@ def _mono_adjoint(x: Monomial) -> Monomial:
     j1, j2, k1, k2 = x.exponents
     ph = x.phase
     reorder = -2 * j1 * j2 + 2 * k1 * k2
-    return Monomial(
+    return tuple.__new__(Monomial, (
         (-j1, -j2, -k1, -k2),
         ExactPhase(reorder - ph.a, -ph.b, -ph.c),
-    )
+    ))
 
 
 def _mono_zeta(x: Monomial) -> Monomial:
@@ -91,10 +93,10 @@ def _mono_zeta(x: Monomial) -> Monomial:
     j1, j2, k1, k2 = x.exponents
     ph = x.phase
     reorder = 2 * j1 * j2 - 2 * k1 * k2
-    return Monomial(
+    return tuple.__new__(Monomial, (
         (-j2, j1, -k2, k1),
         ExactPhase(ph.a + reorder, ph.b, ph.c),
-    )
+    ))
 
 
 class AlgebraElement:
@@ -159,13 +161,18 @@ def _fmt_coeff(c: complex) -> str:
     return f"({num(c.real)}{sign}{num(abs(c.imag))}i)"
 
 
-def generator(name: str, power: int = 1) -> AlgebraElement:
-    """The generator p1, p2, q1 or q2, optionally raised to an integer power."""
+def _generator_word(name: str, power: int) -> Monomial:
+    """The monomial name^power with trivial phase."""
     if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}, expected one of {GENERATOR_NAMES}")
     exps = [0, 0, 0, 0]
     exps[GENERATOR_NAMES.index(name)] = power
-    return AlgebraElement([(1.0, Monomial(tuple(exps), ExactPhase.identity()))])
+    return Monomial(tuple(exps), ExactPhase.identity())
+
+
+def generator(name: str, power: int = 1) -> AlgebraElement:
+    """The generator p1, p2, q1 or q2, optionally raised to an integer power."""
+    return AlgebraElement([(1.0, _generator_word(name, power))])
 
 
 def one() -> AlgebraElement:
@@ -196,11 +203,14 @@ def conjugate_by_translation(x: AlgebraElement, gen: str, power: int = 1) -> Alg
     """g^power * x * g^-power for a translation generator g.
 
     Exponents are unchanged; each monomial picks up the exact theta phase
-    dictated by the commutation relations.
+    dictated by the commutation relations.  Each term is conjugated as a
+    monomial, g m g^-1, so only the result is built as an element; the map
+    is injective on monomials, so no two terms merge.
     """
-    g = generator(gen, power)
-    g_inv = generator(gen, -power)
-    return multiply(multiply(g, x), g_inv)
+    g = _generator_word(gen, power)
+    g_inv = _generator_word(gen, -power)
+    return AlgebraElement([(c, _mono_product(_mono_product(g, m), g_inv))
+                           for c, m in x.terms()])
 
 
 def conjugate_by_zeta(x: AlgebraElement) -> AlgebraElement:

@@ -12,6 +12,13 @@ translation and rotation operators is checked symbolically, with zero
 tolerance; matrices appear only when an operator is truncated to a window.
 Site maps, like the IntForms of the phase, are 1-D (the line) or 2-D (the
 plane): each is applied, composed and inverted in closed form.
+
+IntForm, PhaseForm, SiteMap and BasisMapOperator are immutable tuples
+(NamedTuple classes, like phases.ExactPhase and algebra.Monomial), so
+equality and hashing run in C; the composition kernels build their results
+with tuple.__new__, skipping the Python-level constructor.  As for
+ExactPhase, + on a SiteMap or an operator is tuple concatenation:
+operators compose with @.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IntForm:
+class IntForm(NamedTuple):
     """Integer-valued function of a lattice site: constant + linear terms
     plus, in two dimensions, one bilinear cross term m1*m2.
 
@@ -94,23 +101,23 @@ class IntForm:
         g = IntForm.zero(len(self.lin)) if addend is None else addend
         if len(self.lin) == 1:
             ((m,),), (t,), (a,) = matrix, shift, self.lin
-            return IntForm(self.const + a * t + g.const, (a * m + g.lin[0],), g.bilin)
+            return tuple.__new__(IntForm, (self.const + a * t + g.const,
+                                           (a * m + g.lin[0],), g.bilin))
         (m11, m12), (m21, m22) = matrix
         t1, t2 = shift
         (a, b), w = self.lin, self.bilin
         if w and (m11 * m21 or m12 * m22):
             raise ValueError("bilinear form does not stay in class under this map")
         g1, g2 = g.lin
-        return IntForm(
+        return tuple.__new__(IntForm, (
             self.const + a * t1 + b * t2 + w * t1 * t2 + g.const,
             (a * m11 + b * m21 + w * (m11 * t2 + m21 * t1) + g1,
              a * m12 + b * m22 + w * (m12 * t2 + m22 * t1) + g2),
             w * (m11 * m22 + m12 * m21) + g.bilin,
-        )
+        ))
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseForm:
+class PhaseForm(NamedTuple):
     """Site-dependent exact phase: theta and gauge channels are IntForms,
     the pi channel is a constant."""
 
@@ -140,10 +147,10 @@ class PhaseForm:
         """The form x -> f(site_map(x)) + g(x) for the addend g (zero when
         omitted), one pass per channel."""
         g = PhaseForm.zero(self.dim) if addend is None else addend
-        mat, shift = site_map.matrix, site_map.shift
-        return PhaseForm(self.a.compose_affine(mat, shift, g.a),
-                         (self.b + g.b) % 2,
-                         self.c.compose_affine(mat, shift, g.c))
+        mat, shift = site_map
+        return tuple.__new__(PhaseForm, (self.a.compose_affine(mat, shift, g.a),
+                                         (self.b + g.b) % 2,
+                                         self.c.compose_affine(mat, shift, g.c)))
 
     def is_identity(self, flux: Flux | None = None) -> bool:
         """Whether the phase is 1 at every site, for generic gauge angle and
@@ -163,8 +170,7 @@ def _identity_matrix(dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
 
 
-@dataclass(frozen=True, slots=True)
-class SiteMap:
+class SiteMap(NamedTuple):
     """Affine bijection of the line or the plane: signed-permutation matrix
     plus shift."""
 
@@ -195,11 +201,13 @@ class SiteMap:
         """self after other: x -> M (N x + s) + t = M N x + (M s + t)."""
         shift = self.apply(other.shift)
         if len(shift) == 1:
-            return SiteMap(((self.matrix[0][0] * other.matrix[0][0],),), shift)
+            return tuple.__new__(SiteMap, (((self.matrix[0][0] * other.matrix[0][0],),),
+                                           shift))
         (m11, m12), (m21, m22) = self.matrix
         (n11, n12), (n21, n22) = other.matrix
-        return SiteMap(((m11 * n11 + m12 * n21, m11 * n12 + m12 * n22),
-                        (m21 * n11 + m22 * n21, m21 * n12 + m22 * n22)), shift)
+        return tuple.__new__(SiteMap, (((m11 * n11 + m12 * n21, m11 * n12 + m12 * n22),
+                                        (m21 * n11 + m22 * n21, m21 * n12 + m22 * n22)),
+                                       shift))
 
     def inverse(self) -> "SiteMap":
         # signed permutations are orthogonal, so the inverse matrix is the
@@ -213,8 +221,7 @@ class SiteMap:
                        (-m11 * t1 - m21 * t2, -m12 * t1 - m22 * t2))
 
 
-@dataclass(frozen=True, slots=True)
-class BasisMapOperator:
+class BasisMapOperator(NamedTuple):
     """Unitary acting by U|x> = phase_form(x) * |site_map(x)>."""
 
     site_map: SiteMap
@@ -238,10 +245,10 @@ class BasisMapOperator:
 
     def __matmul__(self, other: "BasisMapOperator") -> "BasisMapOperator":
         """Composition self after other, computed exactly."""
-        return BasisMapOperator(
+        return tuple.__new__(BasisMapOperator, (
             self.site_map.compose(other.site_map),
             self.phase_form.precompose(other.site_map, other.phase_form),
-        )
+        ))
 
     def inverse(self) -> "BasisMapOperator":
         inv_map = self.site_map.inverse()

@@ -504,11 +504,14 @@ class ButterflyDataset:
         """Read what `to_csv` writes through `_csv_records`, holding one
         block of lines at a time; rows of a flux may be interleaved with
         others and empty lines are skipped.  A wrong header or a malformed
-        row raises ValueError."""
+        row raises ValueError.  At most len(_CSV_HEADER) + 2 characters of
+        the header line are read, so a long first line is refused unheld."""
+        limit = len(_CSV_HEADER) + 2
         with open(path) as fh:
-            header = fh.readline().strip()
-            if header != _CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {header!r}")
+            header = fh.readline(limit)
+            if header.strip() != _CSV_HEADER or (len(header) == limit
+                                                 and not header.endswith("\n")):
+                raise ValueError(f"unexpected CSV header {header[:80]!r}")
             return cls(q_max, k_grid, _group_by_flux(_csv_records(fh)))
 
     def to_json(self, path: str | Path) -> None:

@@ -217,6 +217,39 @@ class TestConjugation:
             back = conjugate_by_translation(conjugate_by_translation(x, g), g, power=-1)
             assert back == x
 
+    def test_matches_the_product_path(self):
+        # the path conjugate_by_translation replaced, compared term by term
+        # with the coefficients' bits; the fixed elements put two terms on
+        # one word, with pi parities 0 and 1 or with theta phases that the
+        # conjugation moves onto each other's
+        rand = random.Random("conjugate by translation")
+        word = (1, -2, 0, 3)
+        fixed = [
+            AlgebraElement([(1.0, Monomial(word, ExactPhase(1, 0, 0))),
+                            (2 - 1j, Monomial(word, ExactPhase(1, 1, 0)))]),
+            AlgebraElement([(0.5j, Monomial(word, ExactPhase(0, 0, 0))),
+                            (-3.25, Monomial(word, ExactPhase(4, 0, -1)))]),
+        ]
+        randoms = []
+        for _ in range(40):
+            terms = []
+            for _ in range(rand.randint(1, 5)):
+                exps = tuple(rand.randint(-3, 3) for _ in range(4))
+                phase = ExactPhase(rand.randint(-4, 4), rand.randint(0, 1), rand.randint(-2, 2))
+                terms.append((complex(rand.uniform(-2, 2), rand.uniform(-2, 2)),
+                              Monomial(exps, phase)))
+            randoms.append(AlgebraElement(terms))
+
+        def bits(el):
+            return [(c.real.hex(), c.imag.hex(), m) for c, m in el.terms()]
+        for x in fixed + randoms:
+            for gen in ("p1", "p2", "q1", "q2"):
+                for power in range(-3, 4):
+                    product_path = multiply(multiply(generator(gen, power), x),
+                                            generator(gen, -power))
+                    got = conjugate_by_translation(x, gen, power)
+                    assert bits(got) == bits(product_path), (x, gen, power)
+
     def test_zeta_on_generators(self):
         assert conjugate_by_zeta(generator("q1")) == generator("q2")
         assert conjugate_by_zeta(generator("p2")) == mono(-1, 0, 0, 0)
@@ -415,6 +448,38 @@ class TestDerivation:
         # above compares spans within a tolerance and stops at max_j 4
         text = "\n".join(map(str, derive_invariant_basis(max_j, GOLDEN)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_a_candidate_that_is_not_invariant_is_dropped(self, monkeypatch):
+        # every real candidate passes is_invariant; one that gains a p1 term
+        # is not fixed by conjugation with p2 and must be left out
+        clean = derive_invariant_basis(2, GOLDEN)
+        ray = algebra._selfadjoint_ray
+
+        def tainted(orbit_sum):
+            candidate = ray(orbit_sum)
+            if any(m.exponents == (0, 0, 2, 1) for _c, m in orbit_sum.terms()):
+                candidate = candidate + generator("p1")
+            return candidate
+        monkeypatch.setattr(algebra, "_selfadjoint_ray", tainted)
+        basis = derive_invariant_basis(2, GOLDEN)
+        dropped = [el for el in clean if el not in basis]
+        assert len(basis) == len(clean) - 1 and len(dropped) == 1
+        assert (0, 0, 2, 1) in {m.exponents for _c, m in dropped[0].terms()}
+        assert basis == [el for el in clean if el is not dropped[0]]
+
+    def test_elements_built_per_orbit(self, monkeypatch):
+        # six elements an orbit: the orbit sum, its adjoint, the candidate
+        # and its three conjugates; building each translation conjugate
+        # through two generators and two products took twelve
+        built = []
+        init = AlgebraElement.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(AlgebraElement, "__init__", counted)
+        assert len(derive_invariant_basis(6, GOLDEN)) == 43
+        assert len(built) <= 6 * 43
 
     def test_harper_element_is_range_one_axis_term(self):
         basis = derive_invariant_basis(4, GOLDEN)

@@ -682,8 +682,8 @@ class TestEqualsAgainstReference:
                                      y.phase_form)
             if rand.random() < 0.3:
                 # a pi term outside {0, 1} is the same phase
-                y = dataclasses.replace(y, phase_form=dataclasses.replace(
-                    y.phase_form, b=y.phase_form.b + rand.choice((-2, 2, 4))))
+                y = y._replace(phase_form=y.phase_form._replace(
+                    b=y.phase_form.b + rand.choice((-2, 2, 4))))
             for a, b in ((x, y), (y, x), (x, x)):
                 expected = reference_equals(a, b, flux)
                 assert a.equals(b, flux) == expected, (a, b)
@@ -715,3 +715,45 @@ class TestEqualsAgainstReference:
             assert y.equals(x, flux) == expected
             verdicts.append(expected)
         assert verdicts.count(True) >= len(words) and verdicts.count(False) > 0
+
+
+class TestValueTypes:
+    """IntForm, PhaseForm, SiteMap and BasisMapOperator are immutable tuples:
+    no field can be set, a value built by its constructor and the equal
+    value a composition builds hash equal, and the identity matrix is one
+    shared value."""
+
+    @staticmethod
+    def equal_pairs():
+        zeta = BasisMapOperator(SiteMap(((0, -1), (1, 0)), (0, 0)),
+                                PhaseForm(IntForm.zero(2), 0, IntForm(0, (0, 0), -4)))
+        composed = build_wavefunction(GOLDEN, 1).zeta @ BasisMapOperator.identity(2)
+        return [(zeta, composed), (zeta.site_map, composed.site_map),
+                (zeta.phase_form, composed.phase_form),
+                (zeta.phase_form.c, composed.phase_form.c)]
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["BasisMapOperator", "SiteMap", "PhaseForm", "IntForm"])
+    def test_fields_cannot_be_set(self, index):
+        for value in self.equal_pairs()[index]:
+            for field in value._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                value.extra = 0
+
+    @pytest.mark.parametrize("index", range(4),
+                             ids=["BasisMapOperator", "SiteMap", "PhaseForm", "IntForm"])
+    def test_equal_values_hash_equal(self, index):
+        built, composed = self.equal_pairs()[index]
+        assert type(composed) is type(built)
+        assert composed == built and hash(composed) == hash(built)
+        assert len({built, composed}) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_identity_matrix_is_shared(self, dim):
+        eye = operators._identity_matrix(dim)
+        assert operators._identity_matrix(dim) is eye
+        assert SiteMap.identity(dim).matrix is eye
+        assert SiteMap.translation((3, -1)[:dim]).matrix is eye
+        assert BasisMapOperator.identity(dim).site_map.matrix is eye

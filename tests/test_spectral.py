@@ -768,6 +768,36 @@ class TestBlockReader:
             tracemalloc.stop()
         assert peak < 8 * spectral._READ_BYTES, peak
 
+    def test_a_long_first_line_is_refused_unheld(self, tmp_path):
+        # the header line was read whole and quoted whole in the message
+        path = tmp_path / "long-header.csv"
+        path.write_text("x" * 4 * 10**6 + "\n0,1,0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="unexpected CSV header 'xxx") as err:
+                ButterflyDataset.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(str(err.value)) < 200
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("text,rows", [
+        ("phi_num,phi_den,energy", 0),
+        ("phi_num,phi_den,energy \n0,1,0.5\n", 1),
+        ("phi_num,phi_den,energy\r\n0,1,0.5\r\n", 1),
+        ("phi_num,phi_den,energy  \n0,1,0.5\n", None),
+        ("phi_num,phi_den,energy  0,1,0.5\n", None),
+    ], ids=["without-newline", "one-space", "crlf", "two-spaces", "cut-row"])
+    def test_a_header_line_is_read_within_two_characters(self, tmp_path, text, rows):
+        path = tmp_path / "header.csv"
+        path.write_bytes(text.encode())
+        if rows is None:
+            with pytest.raises(ValueError, match="unexpected CSV header"):
+                ButterflyDataset.from_csv(path)
+        else:
+            assert read_quietly(ButterflyDataset.from_csv, path, 2, 4).n_rows() == rows
+
     @pytest.mark.parametrize("blank", [3, 3 * spectral._READ_BYTES], ids=["few", "many-blocks"])
     def test_body_of_empty_lines_is_an_empty_dataset(self, tmp_path, blank):
         path = tmp_path / "blank.csv"
