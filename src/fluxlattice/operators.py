@@ -434,50 +434,92 @@ class CommutantReport:
         return not self.violations
 
 
+# Bytes held per q-word k1, k2 while the commutant is scanned: its entry in
+# the phase lookup and its commutant word.  tracemalloc puts each at
+# 190-245 B (max_exp 8 to 200), 220-275 B when every q-word has its own
+# commutator phases, and up to 580 B at max_exp 3, where some 20 KB of
+# operators and tables weigh on 49 q-words; rounded up for margin.
+_Q_WORD_BYTES = 1024
+
+
+def _powers(g: BasisMapOperator, max_exp: int) -> dict[int, BasisMapOperator]:
+    """g^e for |e| <= max_exp, each one composition from the last."""
+    out = {0: BasisMapOperator.identity(g.dim)}
+    for sign, step in ((1, g), (-1, g.inverse())):
+        for e in range(1, max_exp + 1):
+            out[sign * e] = step @ out[sign * (e - 1)]
+    return out
+
+
+def _scalar_phase(op: BasisMapOperator, what: str) -> ExactPhase:
+    """The constant phase of a scalar operator: identity site map, no linear
+    or bilinear phase terms.  Any other operator raises."""
+    (a, b, c), dim = op.phase_form, op.dim
+    if op.site_map != SiteMap.identity(dim) or not a[1:] == c[1:] == ((0,) * dim, 0):
+        raise ValueError(f"{what} is not a scalar, so the commutant scan cannot "
+                         f"decide words from generator commutators")
+    return ExactPhase(a.const, b, c.const)
+
+
 def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
     """Scan every word p1^j1 p2^j2 q1^k1 q2^k2 with |exponents| <= max_exp and
     record which commute exactly with both p1 and p2.  At irrational flux the
     commutant words must be exactly those with zero p exponents, supporting
     the tensor factorization of the plane representation.
 
-    Each word is prefix q2^k2 with prefix = (p1^j1 p2^j2) q1^k1, built once
-    per (j1, j2, k1) from p1^j1 p2^j2, itself built once per (j1, j2).  A
-    word commutes with g (p1 or p2) iff prefix (q2^k2 g) = (g prefix) q2^k2,
-    with q2^k2 g built once per k2 and g prefix at most once per prefix, so
-    each side costs one composition per word and the word itself is never
-    built (plus |e| compositions per generator power e, once per scan).
-    Exact composition is associative, so this is the same decision as
-    comparing word g with g word.  p2 is tried only when p1 commutes, and
-    p2 prefix is built the first time that happens for its prefix.
+    The translations generate a Heisenberg group (Zak, Phys. Rev. 134,
+    A1602 (1964)): the commutator of each generator power g^e with h (p1 or
+    p2) is a central scalar c(g^e, h).  Central commutators multiply,
+    [x y, h] = x [y, h] h x^-1 h^-1 = [y, h] [x, h], so a word's commutator
+    with h is the product of the scalars of its four powers, and the word
+    commutes with h (word h = h word) iff that product is 1.  Only the powers
+    and their commutators are composed, 2 max_exp compositions per
+    generator and three per commutator; the words themselves are decided
+    by integer phase arithmetic.  The q-words are grouped by their pair of
+    phases (with p1, with p2), and each p-part looks up the q-words whose
+    pair cancels its own, so the box costs (2 max_exp + 1)^2 lookups, not
+    (2 max_exp + 1)^4 word checks.  A commutator that is not a scalar
+    would make the product rule invalid, so it raises ValueError.  The
+    lookup and the commutant hold each q-word once, and a max_exp whose
+    (2 max_exp + 1)^2 q-words would exceed the allocation budget is
+    refused before the first composition.
     """
     flux.require_irrational("the commutant scan")
     if max_exp < 0:
         raise ValueError("max_exp must be nonnegative")
+    side = 2 * max_exp + 1
+    require_allocation(side * side * _Q_WORD_BYTES,
+                       f"the commutant scan at max_exp={max_exp} ({side * side} q-words)")
     rep = build_wavefunction(flux)
-    p1, p2 = rep.p1, rep.p2
     exponent_range = range(-max_exp, max_exp + 1)
-    p1s, p2s, q1s, q2s = (
-        {e: g**e for e in exponent_range} for g in (p1, p2, rep.q1, rep.q2))
-    q2s_p1 = {e: q2 @ p1 for e, q2 in q2s.items()}
-    q2s_p2 = {e: q2 @ p2 for e, q2 in q2s.items()}
+
+    def commutator_phases(name: str) -> dict[int, tuple[ExactPhase, ExactPhase]]:
+        """e -> (c(g^e, p1), c(g^e, p2)) for the generator g called name."""
+        return {e: tuple(_scalar_phase(commutator(power, getattr(rep, h)),
+                                       f"the commutator of {name}^{e} with {h}")
+                         for h in ("p1", "p2"))
+                for e, power in _powers(getattr(rep, name), max_exp).items()}
+
+    def times(x: tuple[ExactPhase, ...], y: tuple[ExactPhase, ...]) -> tuple[ExactPhase, ...]:
+        return (x[0] * y[0], x[1] * y[1])
+
+    p1s, p2s, q1s, q2s = map(commutator_phases, ("p1", "p2", "q1", "q2"))
+    q_words: dict[tuple[ExactPhase, ...], list[tuple[int, int]]] = {}
+    for k1, k2 in itertools.product(exponent_range, repeat=2):
+        q_words.setdefault(times(q1s[k1], q2s[k2]), []).append((k1, k2))
     commutant = []
     violations = []
     for j1, j2 in itertools.product(exponent_range, repeat=2):
-        p_prefix = p1s[j1] @ p2s[j2]
-        expected = (j1 == 0 and j2 == 0)
-        for k1 in exponent_range:
-            prefix = p_prefix @ q1s[k1]
-            p1_prefix, p2_prefix = p1 @ prefix, None
-            for k2 in exponent_range:
-                commutes = (prefix @ q2s_p1[k2]).equals(p1_prefix @ q2s[k2], flux)
-                if commutes:
-                    if p2_prefix is None:
-                        p2_prefix = p2 @ prefix
-                    commutes = (prefix @ q2s_p2[k2]).equals(p2_prefix @ q2s[k2], flux)
-                if commutes:
-                    commutant.append((j1, j2, k1, k2))
-                if commutes != expected:
-                    violations.append((j1, j2, k1, k2))
+        cancelling = tuple(ph.inverse() for ph in times(p1s[j1], p2s[j2]))
+        words = [(j1, j2, k1, k2) for k1, k2 in q_words.get(cancelling, ())]
+        commutant += words
+        if j1 or j2:
+            violations += words
+        else:
+            held = set(words)
+            violations += [(0, 0, k1, k2)
+                           for k1, k2 in itertools.product(exponent_range, repeat=2)
+                           if (0, 0, k1, k2) not in held]
     return CommutantReport(commutant, violations)
 
 

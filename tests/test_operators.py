@@ -275,20 +275,24 @@ class TestCommutant:
         assert report.commutant_exponents == [(0, 0, 0, 0)]
         assert report.violations == []
 
-    @pytest.mark.parametrize("max_exp", [2, 3])
-    @pytest.mark.parametrize("flux", [GOLDEN, Flux.sqrt2()], ids=str)
+    @pytest.mark.parametrize("max_exp", [0, 1, 2, 3])
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.sqrt2(), Flux.pi_fractional(),
+                                      Flux.irrational(0.3712873165)], ids=str)
     def test_hoisted_scan_matches_per_word_scan(self, flux, max_exp):
         report = commutant_monomial_check(flux, max_exp)
         commutant, violations = reference_scan(flux, max_exp)
         assert report.commutant_exponents == commutant
         assert report.violations == violations
 
-    def test_composition_count(self, monkeypatch):
-        # 12,739 compositions when every word is built from its four powers,
-        # 8,329 when each word is built from hoisted prefixes and then
-        # composed with p1 and p2 on both sides, 6,628 when each side is one
-        # composition per word, and 6,334 when p2 prefix is built only for
-        # the 49 prefixes where p1 commutes with some word
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.sqrt2()], ids=str)
+    def test_commutant_is_the_q_words(self, flux):
+        report = commutant_monomial_check(flux, 8)
+        exps = range(-8, 9)
+        assert report.commutant_exponents == [(0, 0, k1, k2) for k1 in exps for k2 in exps]
+        assert report.violations == []
+
+    @staticmethod
+    def count_compositions(monkeypatch):
         calls = []
         matmul = BasisMapOperator.__matmul__
 
@@ -296,23 +300,88 @@ class TestCommutant:
             calls.append(None)
             return matmul(self, other)
         monkeypatch.setattr(BasisMapOperator, "__matmul__", counted)
+        return calls
+
+    def test_composition_count(self, monkeypatch):
+        # 12,739 compositions when every word is built from its four powers,
+        # 8,329 when each word is built from hoisted prefixes and then
+        # composed with p1 and p2 on both sides, 6,628 when each side is one
+        # composition per word, 6,334 when p2 prefix is built only for the
+        # 49 prefixes where p1 commutes with some word, and 192 when only
+        # the generator powers (2 max_exp each) and their 8 (2 max_exp + 1)
+        # commutators with p1 and p2 (three compositions each) are composed
+        calls = self.count_compositions(monkeypatch)
         assert commutant_monomial_check(GOLDEN, 3).passed
-        assert len(calls) == 6334
+        assert len(calls) == 192
+
+    def test_composition_count_grows_linearly(self, monkeypatch):
+        # 56 max_exp + 24 in all, linear in max_exp: 360 at max_exp 6
+        calls = self.count_compositions(monkeypatch)
+        assert commutant_monomial_check(GOLDEN, 6).passed
+        assert len(calls) == 360
+
+    @pytest.mark.parametrize("max_exp", [3, 8, 40])
+    def test_q_word_figure_bounds_the_peak(self, max_exp):
+        q_words = (2 * max_exp + 1) ** 2
+        tracemalloc.start()
+        try:
+            report = commutant_monomial_check(GOLDEN, max_exp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.commutant_exponents) == q_words
+        assert peak <= q_words * operators._Q_WORD_BYTES
+
+    def test_oversized_box_refused_before_composing(self, monkeypatch):
+        # 1025^2 q-words at 1 KiB each are over the 1 GiB budget
+        calls = self.count_compositions(monkeypatch)
+        with pytest.raises(ValueError, match="commutant scan at max_exp=512.*allocation budget"):
+            commutant_monomial_check(GOLDEN, 512)
+        assert calls == []
 
     def test_twisted_q1_reports_violations(self, monkeypatch):
         # q1 with an extra e^{i*th*m1} no longer commutes with p1
-        build = operators.build_wavefunction
-        twist = BasisMapOperator(SiteMap.identity(2),
-                                 PhaseForm(IntForm(0, (2, 0)), 0, IntForm.zero(2)))
+        twisted = _twisted_q1(monkeypatch, IntForm(0, (2, 0)))
+        for max_exp in (1, 2, 3):
+            report = commutant_monomial_check(GOLDEN, max_exp)
+            assert not report.passed
+            assert (0, 0, 1, 0) in report.violations
+            commutant, violations = reference_scan(GOLDEN, max_exp, twisted(GOLDEN))
+            assert report.commutant_exponents == commutant
+            assert report.violations == violations
 
-        def twisted(flux, gauge_units=0):
-            rep = build(flux, gauge_units)
-            return dataclasses.replace(rep, q1=rep.q1 @ twist)
-        monkeypatch.setattr(operators, "build_wavefunction", twisted)
-        report = commutant_monomial_check(GOLDEN, 1)
-        assert not report.passed
-        assert (0, 0, 1, 0) in report.violations
-        assert report.violations == reference_scan(GOLDEN, 1, twisted(GOLDEN))[1]
+    def test_non_scalar_commutator_raises(self, monkeypatch):
+        # a bilinear twist e^{i*th*m1*m2} on q1 leaves [q1, p1] a phase
+        # linear in the site, where the product rule does not hold
+        twisted = _twisted_q1(monkeypatch, IntForm(0, (0, 0), 2))
+        assert len(reference_scan(GOLDEN, 2, twisted(GOLDEN))[1]) == 20
+        with pytest.raises(ValueError, match=r"commutator of q1\^1 with p1 is not a scalar"):
+            commutant_monomial_check(GOLDEN, 2)
+
+    @pytest.mark.parametrize("op", [
+        BasisMapOperator(SiteMap.translation((1, 0)), PhaseForm.zero(2)),
+        BasisMapOperator(SiteMap.identity(2), PhaseForm(IntForm(0, (0, 1)), 0, IntForm.zero(2))),
+        BasisMapOperator(SiteMap.identity(2), PhaseForm(IntForm.zero(2), 0, IntForm(0, (0, 0), 2))),
+    ], ids=["translation", "linear", "bilinear"])
+    def test_only_scalars_have_a_phase(self, op):
+        scalar = BasisMapOperator.scalar(2, ExactPhase(3, 1, -2))
+        assert operators._scalar_phase(scalar, "s") == ExactPhase(3, 1, -2)
+        with pytest.raises(ValueError, match="^x is not a scalar"):
+            operators._scalar_phase(op, "x")
+
+
+def _twisted_q1(monkeypatch, theta_form):
+    """Make the scan's representation carry q1 after the diagonal phase
+    e^{i*th*theta_form/2}; returns the twisted builder."""
+    build = operators.build_wavefunction
+    twist = BasisMapOperator(SiteMap.identity(2),
+                             PhaseForm(theta_form, 0, IntForm.zero(2)))
+
+    def twisted(flux, gauge_units=0):
+        rep = build(flux, gauge_units)
+        return dataclasses.replace(rep, q1=rep.q1 @ twist)
+    monkeypatch.setattr(operators, "build_wavefunction", twisted)
+    return twisted
 
 
 def reference_scan(flux, max_exp, rep=None):
