@@ -304,6 +304,61 @@ class TestInvariance:
                          and conjugate_by_translation(x, "p2") == x)
                 assert fixed == (j1 == 0 and j2 == 0)
 
+    def test_matches_the_conjugation_path(self):
+        # the element equalities is_invariant replaced, on random elements
+        # (almost never fixed), on their rotation-orbit sums over the q
+        # sublattice (fixed) and over the p one (fixed by the quarter turn,
+        # mostly not by the translations), on the derived candidates,
+        # Harper and scalars, and on negative controls
+        rand = random.Random("is_invariant termwise")
+
+        def slow(x):
+            return (conjugate_by_translation(x, "p1") == x
+                    and conjugate_by_translation(x, "p2") == x
+                    and conjugate_by_zeta(x) == x)
+
+        def random_terms(p_words, q_words):
+            terms = []
+            for _ in range(rand.randint(1, 6)):
+                j = [rand.randint(-2, 2) if p_words else 0 for _ in range(2)]
+                k = [rand.randint(-2, 2) if q_words else 0 for _ in range(2)]
+                phase = ExactPhase(rand.randint(-4, 4), rand.randint(0, 1), rand.randint(-2, 2))
+                terms.append((complex(rand.randint(-3, 3), rand.randint(-3, 3)),
+                              Monomial((*j, *k), phase)))
+            return AlgebraElement(terms)
+
+        def orbit_sum(x):
+            total, cur = x, x
+            for _ in range(3):
+                cur = conjugate_by_zeta(cur)
+                total = total + cur
+            return total
+
+        randoms = [random_terms(True, True) for _ in range(200)]
+        q_orbits = [orbit_sum(random_terms(False, True)) for _ in range(60)]
+        p_orbits = [orbit_sum(random_terms(True, False)) for _ in range(60)]
+        candidates = derive_invariant_basis(4, GOLDEN)
+        word = Monomial((0, 1, 0, 0), ExactPhase.identity())
+        controls = [
+            generator("p1"),
+            candidates[7] + generator("p1"),
+            # the p1 image of the first term is the second, but not back
+            AlgebraElement([(1.0, word), (1.0, Monomial(word.exponents, ExactPhase(2, 0, 0)))]),
+            # one coefficient of the range-1 diagonal element doubled
+            candidates[2] + mono(0, 0, 1, 1, ExactPhase(1, 0, 0)),
+            scalar(float("nan")),
+            AlgebraElement([(complex("nan+1j"), m) for _c, m in harper_element().terms()]),
+        ]
+        fixed = [harper_element(), scalar(1.0), scalar(2.5 - 1j), scalar(float("inf")),
+                 one() + harper_element(), *candidates, *q_orbits]
+        for x in fixed:
+            assert slow(x) and is_invariant(x, GOLDEN), x
+        for x in controls:
+            assert not slow(x) and not is_invariant(x, GOLDEN), x
+        for x in randoms + p_orbits:
+            assert is_invariant(x, GOLDEN) == slow(x), x
+        assert sum(conjugate_by_zeta(x) == x and not slow(x) for x in p_orbits) >= 50
+
     def test_q_conjugation_fixed_monomials_have_zero_q_exponents(self):
         for k1 in range(-3, 4):
             for k2 in range(-3, 4):
@@ -468,9 +523,8 @@ class TestDerivation:
         assert basis == [el for el in clean if el is not dropped[0]]
 
     def test_elements_built_per_orbit(self, monkeypatch):
-        # six elements an orbit: the orbit sum, its adjoint, the candidate
-        # and its three conjugates; building each translation conjugate
-        # through two generators and two products took twelve
+        # two elements an orbit: the orbit sum and the candidate; the
+        # adjoint and the three conjugates are read term by term
         built = []
         init = AlgebraElement.__init__
 
@@ -479,7 +533,21 @@ class TestDerivation:
             init(self, *args, **kwargs)
         monkeypatch.setattr(AlgebraElement, "__init__", counted)
         assert len(derive_invariant_basis(6, GOLDEN)) == 43
-        assert len(built) <= 6 * 43
+        assert len(built) == 2 * 43
+
+    def test_no_monomial_products(self, monkeypatch):
+        # the conjugation phases are closed forms, not products g m g^-1
+        calls = []
+        mono_product = algebra._mono_product
+
+        def counted(x, y):
+            calls.append(None)
+            return mono_product(x, y)
+        monkeypatch.setattr(algebra, "_mono_product", counted)
+        assert len(derive_invariant_basis(6, GOLDEN)) == 43
+        assert calls == []
+        multiply(generator("p1"), generator("p2"))
+        assert len(calls) == 1
 
     def test_harper_element_is_range_one_axis_term(self):
         basis = derive_invariant_basis(4, GOLDEN)
@@ -513,6 +581,28 @@ class TestRendering:
         h = harper_element()
         assert str(h).count(" + ") == 3
         assert "q1^-1" in str(h)
+
+    def test_non_finite_coefficients(self):
+        word = "·p1^0 p2^0 q1^0 q2^0"
+        assert str(scalar(float("inf"))) == "(inf+0i)" + word
+        assert str(scalar(float("nan"))) == "(nan+0i)" + word
+        assert str(scalar(complex(0, float("-inf")))) == "(0-infi)" + word
+        assert str(scalar(complex(-1.5, float("nan")))) == "(-1.5+nani)" + word
+
+    def test_terms_in_word_then_phase_order(self):
+        # a monomial sorts as (exponents, (a, b, c)), the order the text
+        # pins rely on; compared with that key spelt out
+        rand = random.Random("rendering order")
+        for _ in range(300):
+            terms = []
+            for _ in range(rand.randint(1, 8)):
+                exps = tuple(rand.randint(-2, 2) for _ in range(4))
+                phase = ExactPhase(rand.randint(-3, 3), rand.randint(0, 1), rand.randint(-2, 2))
+                terms.append((complex(rand.randint(-3, 3), 1), Monomial(exps, phase)))
+            x = AlgebraElement(terms)
+            ordered = sorted(x.terms(), key=lambda t: (t[1].exponents, t[1].phase.a,
+                                                       t[1].phase.b, t[1].phase.c))
+            assert str(x) == " + ".join(f"{algebra._fmt_coeff(c)}·{m}" for c, m in ordered)
 
     def test_phase_rendering(self):
         assert str(ExactPhase(2, 0, 0)) == "e^{iθ}"
