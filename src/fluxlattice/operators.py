@@ -442,15 +442,6 @@ class CommutantReport:
 _Q_WORD_BYTES = 1024
 
 
-def _powers(g: BasisMapOperator, max_exp: int) -> dict[int, BasisMapOperator]:
-    """g^e for |e| <= max_exp, each one composition from the last."""
-    out = {0: BasisMapOperator.identity(g.dim)}
-    for sign, step in ((1, g), (-1, g.inverse())):
-        for e in range(1, max_exp + 1):
-            out[sign * e] = step @ out[sign * (e - 1)]
-    return out
-
-
 def _scalar_phase(op: BasisMapOperator, what: str) -> ExactPhase:
     """The constant phase of a scalar operator: identity site map, no linear
     or bilinear phase terms.  Any other operator raises."""
@@ -468,16 +459,16 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
     the tensor factorization of the plane representation.
 
     The translations generate a Heisenberg group (Zak, Phys. Rev. 134,
-    A1602 (1964)): the commutator of each generator power g^e with h (p1 or
-    p2) is a central scalar c(g^e, h).  Central commutators multiply,
-    [x y, h] = x [y, h] h x^-1 h^-1 = [y, h] [x, h], so a word's commutator
-    with h is the product of the scalars of its four powers, and the word
-    commutes with h (word h = h word) iff that product is 1.  Only the powers
-    and their commutators are composed, 2 max_exp compositions per
-    generator and three per commutator; the words themselves are decided
-    by integer phase arithmetic.  The q-words are grouped by their pair of
-    phases (with p1, with p2), and each p-part looks up the q-words whose
-    pair cancels its own, so the box costs (2 max_exp + 1)^2 lookups, not
+    A1602 (1964)): the commutator of each generator g with h (p1 or p2) is
+    a central scalar c(g, h).  Central commutators multiply,
+    [x y, h] = x [y, h] h x^-1 h^-1 = [y, h] [x, h], so c(g^e, h) =
+    c(g, h)^e, a word's commutator with h is the product of the scalars of
+    its four powers, and the word commutes with h (word h = h word) iff
+    that product is 1.  Only the eight generator commutators are composed,
+    three compositions each; the words themselves are decided by integer
+    phase arithmetic.  The q-words are grouped by their pair of phases
+    (with p1, with p2), and each p-part looks up the q-words whose pair
+    cancels its own, so the box costs (2 max_exp + 1)^2 lookups, not
     (2 max_exp + 1)^4 word checks.  A commutator that is not a scalar
     would make the product rule invalid, so it raises ValueError.  The
     lookup and the commutant hold each q-word once, and a max_exp whose
@@ -495,10 +486,9 @@ def commutant_monomial_check(flux: Flux, max_exp: int) -> CommutantReport:
 
     def commutator_phases(name: str) -> dict[int, tuple[ExactPhase, ExactPhase]]:
         """e -> (c(g^e, p1), c(g^e, p2)) for the generator g called name."""
-        return {e: tuple(_scalar_phase(commutator(power, getattr(rep, h)),
-                                       f"the commutator of {name}^{e} with {h}")
-                         for h in ("p1", "p2"))
-                for e, power in _powers(getattr(rep, name), max_exp).items()}
+        cs = [_scalar_phase(commutator(getattr(rep, name), getattr(rep, h)),
+                            f"the commutator of {name} with {h}") for h in ("p1", "p2")]
+        return {e: (cs[0] ** e, cs[1] ** e) for e in exponent_range}
 
     def times(x: tuple[ExactPhase, ...], y: tuple[ExactPhase, ...]) -> tuple[ExactPhase, ...]:
         return (x[0] * y[0], x[1] * y[1])

@@ -43,7 +43,7 @@ import math
 import os
 import re
 import threading
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Generator, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -74,7 +74,9 @@ _HAMILTONIAN = harper_element()  # the one element every Bloch matrix represents
 # stack is solved in chunks.
 _STACK_CHUNK_BYTES = 1 << 22
 # Samples hausdorff_distance compares at once, with 48 bytes of temporaries
-# each, and samples `_rows` finds the runs of equal bits in at once.
+# each, and samples `_rows` joins into one write, however long their runs:
+# one write a flux left about 0.8 MB more resident after
+# `butterfly(12, 24).to_csv`.
 _COMPARE_CHUNK = 1 << 12
 # What no _require_held term counts: small arrays and one comparison chunk.
 _SLACK_BYTES = 1 << 18
@@ -324,7 +326,7 @@ def _parsed(blocks: Iterable[list[str]], row: Callable[[str], str]
     """(`_ROW` records, run lengths) of each non-empty block of strings: of
     each run of equal consecutive strings only row(first string), a CSV
     row, is parsed, by np.loadtxt, since equal strings give equal bits."""
-    for block in blocks:
+    for block in filter(None, blocks):
         strings = np.array(block, dtype=object)
         cuts = np.flatnonzero(np.concatenate(([True], strings[1:] != strings[:-1])))
         records = np.loadtxt([row(s) for s in strings[cuts].tolist()], dtype=_ROW,
@@ -332,31 +334,40 @@ def _parsed(blocks: Iterable[list[str]], row: Callable[[str], str]
         yield records, np.diff(cuts, append=strings.size)
 
 
-def _csv_lines(fh: TextIO) -> Iterator[list[str]]:
-    """The non-empty blocks of non-empty lines of fh, read _READ_BYTES
-    characters at a time and split at newlines; the last piece of a read is
-    carried into the next, and one longer than _READ_BYTES is refused."""
+def _pieces(fh: TextIO, text: str, sep: str, what: str
+            ) -> Generator[list[str], None, str]:
+    """Blocks of the pieces of text and then of fh, read _READ_BYTES
+    characters at a time and split at sep; the last piece is returned.  The
+    last piece of a read is carried into the next, and one longer than
+    _READ_BYTES is refused as a malformed butterfly `what`."""
     piece = ""
-    while text := fh.read(_READ_BYTES):
-        *lines, piece = (piece + text).split("\n")
+    while text:
+        *pieces, piece = (piece + text).split(sep)
         if len(piece) > _READ_BYTES:
-            raise ValueError(f"malformed butterfly row {piece[:80]!r}")
-        if lines := list(filter(None, lines)):
-            yield lines
-    if piece:
-        yield [piece]
+            raise ValueError(f"malformed butterfly {what} {piece[:80]!r}")
+        if pieces:
+            yield pieces
+        text = fh.read(_READ_BYTES)
+    return piece
+
+
+def _csv_lines(fh: TextIO) -> Iterator[list[str]]:
+    """The blocks of lines of the CSV body in fh, split by `_pieces`, and
+    its last line as a block of its own."""
+    last = yield from _pieces(fh, fh.read(_READ_BYTES), "\n", "row")
+    yield [last]
 
 
 def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_parsed` of each block of `_csv_lines(fh)`, the CSV body.  A
-    malformed row raises numpy's ValueError, which names the row by its
+    """`_parsed` of the non-empty lines of each block of `_csv_lines(fh)`.
+    A malformed row raises numpy's ValueError, which names the row by its
     index in the whole body; a line too long to carry raises its own."""
     body = fh.tell()
     # _csv_lines runs outside the try: the whole-body parse would hold the
     # line it refuses
     for lines in _csv_lines(fh):
         try:
-            yield from _parsed([lines], str)
+            yield from _parsed([list(filter(None, lines))], str)
         except ValueError:
             # numpy counts the rows of what it is given; parse the whole body
             # so that the message names the row in the file
@@ -366,10 +377,6 @@ def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
-# Rows per write.  Bounded writes keep each joined string small enough to
-# be reused, however long its runs; one write per flux left about 0.8 MB
-# more resident after `butterfly(12, 24).to_csv`.
-_ROWS_PER_WRITE = 256
 
 
 # What `to_json` writes before its points, and each point between its
@@ -402,55 +409,35 @@ def _json_document(fh: TextIO) -> tuple[int, int, Iterator[list[str]]]:
 
 def _json_points(fh: TextIO, text: str) -> Iterator[list[str]]:
     """Blocks of the point texts between `{` and `}` of a `to_json` body
-    that starts with text and goes on in fh, read _READ_BYTES at a time:
-    the body is `]}`, or `{`, the points joined by `}, {`, and `}]}`.  A
-    piece longer than _READ_BYTES, which no point is, is refused before the
-    next read."""
+    that starts with text and goes on in fh, split by `_pieces`: the body
+    is `]}`, or `{`, the points joined by `}, {`, and `}]}`."""
     text += fh.read(2)  # the first read may end within two bytes of the head
     if text == "]}" and not fh.read(1):
         return
     if text[:1] != "{":
         raise ValueError(f"malformed butterfly point {text[:80]!r}")
-    piece, text = "", text[1:]
-    while text:
-        *points, piece = (piece + text).split("}, {")
-        if len(piece) > _READ_BYTES:
-            raise ValueError(f"malformed butterfly point {piece[:80]!r}")
-        if points:
-            yield points
-        text = fh.read(_READ_BYTES)
-    if not piece.endswith("}]}"):
+    last = yield from _pieces(fh, text[1:], "}, {", "point")
+    if not last.endswith("}]}"):
         raise ValueError(f"malformed butterfly JSON: expected '}}]}}' at the end, "
-                         f"got {piece[-80:]!r}")
-    yield [piece[:-3]]
+                         f"got {last[-80:]!r}")
+    yield [last[:-3]]
 
 
 def _rows(entries: list[tuple[int, int, np.ndarray]], head: str,
           number: Callable[[float], str], tail: str) -> Iterator[str]:
     """Each row `head.format(nu, q) + number(e) + tail` of entries, one joined
-    string per write of at most _ROWS_PER_WRITE rows of a flux.  The runs of
-    equal bits are found once per pass of _COMPARE_CHUNK samples, each run's
-    row is formatted once in its pass and repeated, and a run longer than
-    the room left in a write is split across writes; -0.0 and 0.0, or two
-    NaN payloads, are runs of their own."""
+    string per pass of _COMPARE_CHUNK samples of a flux.  The runs of equal
+    bits are found once a pass, and each run's row is formatted once in its
+    pass and repeated; -0.0 and 0.0, or two NaN payloads, are runs of their
+    own."""
     for num, den, samples in entries:
         prefix = head.format(num, den)
         for lo in range(0, samples.size, _COMPARE_CHUNK):
             part = samples[lo:lo + _COMPARE_CHUNK]
             bits = part.view(np.int64)
             cuts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-            write, room = [], _ROWS_PER_WRITE
-            for e, n in zip(part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()):
-                row = f"{prefix}{number(e)}{tail}"
-                while n >= room:
-                    write.append(row * room)
-                    yield "".join(write)
-                    write, n, room = [], n - room, _ROWS_PER_WRITE
-                if n:
-                    write.append(row * n)
-                    room -= n
-            if write:
-                yield "".join(write)
+            yield "".join(f"{prefix}{number(e)}{tail}" * n for e, n in zip(
+                part[cuts].tolist(), np.diff(cuts, append=part.size).tolist()))
 
 
 def _json_number(e: float) -> str:
@@ -465,13 +452,13 @@ class ButterflyDataset:
 
     `entries` holds one (nu, q, sorted float64 samples) triple per flux.
     Both writers take their rows from one generator, `_rows`, and write the
-    bytes a row-by-row writer and `json.dump` would, at most _ROWS_PER_WRITE
-    rows a write: within each pass of _COMPARE_CHUNK samples the samples
-    fall into runs of equal bits, and each run's row is formatted once and
-    repeated across the writes it fills.  Both readers take their text
-    _READ_BYTES characters at a time and refuse a line or point longer than
-    that, parse only the first of each run of equal lines or points in
-    `_parsed`, and group the records by flux in `_group_by_flux`.
+    bytes a row-by-row writer and `json.dump` would, one write per pass of
+    _COMPARE_CHUNK samples: within a pass the samples fall into runs of
+    equal bits, and each run's row is formatted once and repeated.  Both
+    readers split their text with `_pieces`, _READ_BYTES characters at a
+    time, refusing a line or point longer than that, parse only the first
+    of each run of equal lines or points in `_parsed`, and group the
+    records by flux in `_group_by_flux`.
     """
 
     q_max: int

@@ -307,18 +307,31 @@ class TestCommutant:
         # 8,329 when each word is built from hoisted prefixes and then
         # composed with p1 and p2 on both sides, 6,628 when each side is one
         # composition per word, 6,334 when p2 prefix is built only for the
-        # 49 prefixes where p1 commutes with some word, and 192 when only
-        # the generator powers (2 max_exp each) and their 8 (2 max_exp + 1)
-        # commutators with p1 and p2 (three compositions each) are composed
+        # 49 prefixes where p1 commutes with some word, 192 when every
+        # generator power's commutators with p1 and p2 are composed, and 24
+        # when only the 8 generator commutators (three compositions each)
+        # are composed and each power's is read off c(g^e, h) = c(g, h)^e
         calls = self.count_compositions(monkeypatch)
         assert commutant_monomial_check(GOLDEN, 3).passed
-        assert len(calls) == 192
+        assert len(calls) == 24
 
-    def test_composition_count_grows_linearly(self, monkeypatch):
-        # 56 max_exp + 24 in all, linear in max_exp: 360 at max_exp 6
+    @pytest.mark.parametrize("max_exp", [0, 3, 6])
+    def test_composition_count_does_not_grow(self, monkeypatch, max_exp):
         calls = self.count_compositions(monkeypatch)
-        assert commutant_monomial_check(GOLDEN, 6).passed
-        assert len(calls) == 360
+        assert commutant_monomial_check(GOLDEN, max_exp).passed
+        assert len(calls) == 24
+
+    @pytest.mark.parametrize("flux", [GOLDEN, Flux.sqrt2()], ids=str)
+    def test_power_commutators_follow_the_power_law(self, flux):
+        # the scan reads c(g^e, h) as c(g, h)^e; check it against the
+        # commutators of the composed powers it no longer builds
+        rep = build_wavefunction(flux)
+        for g, h in itertools.product(("p1", "p2", "q1", "q2"), ("p1", "p2")):
+            gen, other = getattr(rep, g), getattr(rep, h)
+            c = operators._scalar_phase(commutator(gen, other), f"[{g}, {h}]")
+            for e in range(-4, 5):
+                assert commutator(gen**e, other).equals(
+                    BasisMapOperator.scalar(2, c**e), flux), (g, h, e)
 
     @pytest.mark.parametrize("max_exp", [3, 8, 40])
     def test_q_word_figure_bounds_the_peak(self, max_exp):
@@ -355,8 +368,9 @@ class TestCommutant:
         # linear in the site, where the product rule does not hold
         twisted = _twisted_q1(monkeypatch, IntForm(0, (0, 0), 2))
         assert len(reference_scan(GOLDEN, 2, twisted(GOLDEN))[1]) == 20
-        with pytest.raises(ValueError, match=r"commutator of q1\^1 with p1 is not a scalar"):
-            commutant_monomial_check(GOLDEN, 2)
+        for max_exp in (0, 2):
+            with pytest.raises(ValueError, match=r"commutator of q1 with p1 is not a scalar"):
+                commutant_monomial_check(GOLDEN, max_exp)
 
     @pytest.mark.parametrize("op", [
         BasisMapOperator(SiteMap.translation((1, 0)), PhaseForm.zero(2)),

@@ -592,12 +592,12 @@ class TestAgainstReference:
         assert ds.__eq__(ds.entries) is NotImplemented
         assert ds != ds.entries
 
-    W = spectral._ROWS_PER_WRITE
+    W = spectral._COMPARE_CHUNK
     NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                      0x7FF0000000000001, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     RUNS = {
-        "run-longer-than-a-write": [(0, 1, np.array([-1.0, -1.0, *[0.1] * (3 * W + 5), 2.0]))],
-        "run-across-a-write": [(0, 1, np.concatenate(
+        "run-longer-than-a-pass": [(0, 1, np.array([-1.0, -1.0, *[0.1] * (3 * W + 5), 2.0]))],
+        "run-across-a-pass": [(0, 1, np.concatenate(
             [np.linspace(-2, 0, W - 3), [0.5] * 7, np.linspace(0.6, 2, W)]))],
         "signed-zeros": [(0, 1, np.array([-1.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 1.0])),
                          (1, 2, np.array([*[0.0] * (W - 1), -0.0, -0.0, 0.0]))],
@@ -662,6 +662,15 @@ class TestAgainstReference:
                      for _n, _d, samples in ds.entries)
         assert len(points) == 216_000
         assert len(calls) <= runs + passes, (len(calls), runs, passes)
+
+    def test_one_string_a_pass(self):
+        # the writer's one bound: each string it yields is one pass
+        ds = butterfly(12, 24)
+        strings = list(spectral._rows(ds.entries, "{},{},", repr, "\n"))
+        passes = sum(-(-samples.size // spectral._COMPARE_CHUNK)
+                     for _n, _d, samples in ds.entries)
+        assert len(strings) == passes
+        assert max(s.count("\n") for s in strings) <= spectral._COMPARE_CHUNK
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_files_match_the_reference_writers(self, tmp_path, capsys, fmt):
