@@ -144,11 +144,6 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.terms() + other.terms())
 
-    def phase_twisted(self, phase: ExactPhase) -> "AlgebraElement":
-        """Multiply every term by a constant exact phase."""
-        return AlgebraElement(
-            [(c, Monomial(m.exponents, phase * m.phase)) for c, m in self.terms()])
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -241,13 +236,14 @@ def is_invariant(x: AlgebraElement, flux: Flux) -> bool:
     on monomials and keeps coefficients, so x is fixed iff every term's
     image is a term of x with an == coefficient, which is the element
     equality conjugate(x) == x (a nan coefficient is never fixed).  The p1
-    and p2 images are the closed forms of conjugate_by_translation.
+    and p2 images are conjugate_by_translation's, from its _CONJUGATION_SHIFT.
     """
     flux.require_irrational("the invariance analysis")
     terms = x._terms
+    p1_step, p2_step = _CONJUGATION_SHIFT[:2]
     for m, c in terms.items():
         j1, j2, _k1, _k2 = m.exponents
-        for img in (_mono_shifted(m, 2 * j2), _mono_shifted(m, -2 * j1), _mono_zeta(m)):
+        for img in (_mono_shifted(m, p1_step * j2), _mono_shifted(m, p2_step * j1), _mono_zeta(m)):
             if terms.get(img) != c:
                 return False
     return True
@@ -261,36 +257,32 @@ def harper_element() -> AlgebraElement:
             + generator("q2") + generator("q2", -1))
 
 
-def _selfadjoint_ray(orbit_sum: AlgebraElement) -> AlgebraElement | None:
-    """The unique selfadjoint normalization of a rotation-orbit sum, if any.
+def _selfadjoint_ray(orbit: list[Monomial]) -> AlgebraElement | None:
+    """The unique selfadjoint normalization S of a rotation orbit's sum, if any.
 
-    Writing the candidate as u * S with a constant unimodular u, the
-    selfadjointness condition reads u^2 = adjoint(S)/S termwise, so the
-    per-exponent phase ratio must be constant and admit an exact half.  A
-    ratio with a pi part is refused like an odd one: e^{i*pi/2} is no exact
-    phase triple.
+    Writing S as u times the sum of the orbit's distinct monomials, with a
+    constant unimodular u, selfadjointness reads u^2 = adjoint(sum)/sum
+    termwise, so the per-exponent phase ratio must be constant and admit an
+    exact half.  A ratio with a pi part is refused like an odd one:
+    e^{i*pi/2} is no exact phase triple.  S is the only element built.
     """
-    # the monomials of adjoint(orbit_sum): _mono_adjoint is injective, so
-    # no term merges and the adjoint element need not be built
-    by_exps = {m.exponents: m.phase for m in orbit_sum._terms}
-    ratio: ExactPhase | None = None
-    for m in map(_mono_adjoint, orbit_sum._terms):
+    # the monomials of adjoint(sum): _mono_adjoint is injective, so no term merges
+    by_exps = {m.exponents: m.phase for m in orbit}
+    ratios: set[ExactPhase] = set()
+    for m in map(_mono_adjoint, orbit):
         phase = by_exps.get(m.exponents)
         if phase is None:
             return None
-        r = m.phase * phase.inverse()
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    assert ratio is not None
-    if ratio.a % 2 or ratio.b or ratio.c % 2:
+        ratios.add(m.phase * phase.inverse())
+    ratio = ratios.pop()
+    if ratios or ratio.a % 2 or ratio.b or ratio.c % 2:
         return None
-    return orbit_sum.phase_twisted(ExactPhase(ratio.a // 2, 0, ratio.c // 2))
+    half = ExactPhase(ratio.a // 2, 0, ratio.c // 2)
+    return AlgebraElement((1.0, Monomial(m.exponents, half * m.phase)) for m in orbit)
 
 
 # Bytes held per rotation orbit of hops while the basis is derived: every
-# orbit survives, and tracemalloc puts each at 1.3-1.6 KB (max_j 6 to 80);
+# orbit survives, and tracemalloc puts each at 1.2-1.4 KB (max_j 6 to 200);
 # rounded up past double for margin.
 _ORBIT_BYTES = 4096
 
@@ -302,10 +294,10 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     Invariance under the two translations is diagonal on monomials and, at
     irrational flux, kills every monomial with a nonzero p exponent (the
     exhaustive-scan property test covers this step), so the search runs over
-    the q sublattice.  Each rotation orbit is summed into an invariant
-    element, then given its unique selfadjoint normalization: the coefficient
-    phase is half the commutation phase of the hop, e^{i*th*k1*k2/2}, i.e.
-    half the flux through the rectangle the hop spans.  Axis hops (k1*k2 = 0)
+    the q sublattice.  Each rotation orbit goes straight to its invariant
+    sum in its unique selfadjoint normalization: the coefficient phase is
+    half the commutation phase of the hop, e^{i*th*k1*k2/2}, i.e. half the
+    flux through the rectangle the hop spans.  Axis hops (k1*k2 = 0)
     come out as the familiar q1^j + q1^-j + q2^j + q2^-j; diagonal hops
     survive too, carrying their half-plaquette phases.  Elements are ordered
     by hopping range, axis families before diagonal ones, so the range-1
@@ -318,8 +310,8 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     (-k2, k1), so the other three hops of the orbit, (-k2, k1), (-k1, -k2)
     and (k2, -k1), start below k1, except (k1, -k1) < (k1, k1) when
     k2 = k1: each visited hop is the lexicographic maximum of its orbit.
-    The orbit is walked with _mono_zeta until it returns to the hop, which
-    zeta^4 = 1, exact on monomials and their phases, guarantees.
+    Each orbit is walked with _mono_zeta to its first return to the hop, so
+    its monomials are distinct; zeta^4 = 1, exact on phases, ends the walk.
     """
     flux.require_irrational("the invariant-basis derivation")
     if max_j < 0:
@@ -328,16 +320,16 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     require_allocation(orbits * _ORBIT_BYTES,
                        f"the invariant basis through max_j={max_j} ({orbits} orbits)")
 
-    # in the order of the basis: by range k1, the axis hop (k1, 0) first
-    hops = [(0, 0)] + [(k1, k2) for k1 in range(1, max_j + 1)
-                       for k2 in (0, *range(1 - k1, 0), *range(1, k1 + 1))]
+    # generated in the order of the basis: by range k1, the axis hop (k1, 0) first
+    hops = ((k1, k2) for k1 in range(max_j + 1)
+            for k2 in (0, *range(1 - k1, 0), *range(1, k1 + 1)))
     basis: list[AlgebraElement] = []
     for k1, k2 in hops:
         start = Monomial((0, 0, k1, k2), ExactPhase.identity())
         orbit = [start]
         while (img := _mono_zeta(orbit[-1])) != start:
             orbit.append(img)
-        candidate = _selfadjoint_ray(AlgebraElement((1.0, m) for m in orbit))
+        candidate = _selfadjoint_ray(orbit)
         if candidate is None or not is_invariant(candidate, flux):
             continue
         basis.append(candidate)

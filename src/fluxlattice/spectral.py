@@ -32,8 +32,9 @@ eigenvalue array, so lanes change neither the matrices nor the LAPACK
 call.  One rule sizes every request before its first solve: every
 returned flux's samples stay held, plus the largest transient of one flux
 solve (its reduced eigenvalues and every lane's chunk of matrices) and a
-fixed slack, against reporting.ALLOCATION_BUDGET_BYTES.  The budget
-bounds memory, not run time.
+fixed slack, against reporting.ALLOCATION_BUDGET_BYTES.  A matrix costs
+the chunk and the rule the same _matrix_bytes(q), its 16 q^2 bytes of
+entries and its row temporaries.  The budget bounds memory, not run time.
 """
 
 from __future__ import annotations
@@ -100,9 +101,15 @@ _LANES = _lane_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffin
                      else os.cpu_count() or 1, os.environ)
 
 
+def _matrix_bytes(den: int) -> int:
+    """Bytes a Bloch matrix at denominator den costs: its entries and the row
+    temporaries of _bloch_stack, which tracemalloc puts at up to about 80 q."""
+    return 16 * den * den + 80 * den + 64
+
+
 def _chunk_length(den: int) -> int:
     """Bloch matrices per lane's chunk at denominator den, at least one."""
-    return max(1, _STACK_CHUNK_BYTES // _LANES // (16 * den * den))
+    return max(1, _STACK_CHUNK_BYTES // _LANES // _matrix_bytes(den))
 
 
 def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
@@ -110,9 +117,8 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
     solves one flux per q in `dens`, so a lazy sweep is never listed whole.
     Each flux holds its samples, 128 bytes a band and 512 of objects; on top
     come the largest solve transient (the reduced eigenvalues, which bound
-    a butterfly flux's class eigenvalues too, and each busy lane's chunk of
-    matrices with their row temporaries, plus one more matrix a lane) and
-    _SLACK_BYTES."""
+    a butterfly flux's class eigenvalues too, and each busy lane's chunk
+    plus one more matrix, at _matrix_bytes each) and _SLACK_BYTES."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
@@ -121,7 +127,7 @@ def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
         step = _chunk_length(q)
         held += 8 * q * k_grid * k_grid + 128 * (q + 4)
         transient = max(transient, 8 * q * n_k + min(_LANES, -(-n_k // step))
-                        * (min(n_k, step) + 1) * (16 * q * q + 56 * q + 64))
+                        * (min(n_k, step) + 1) * _matrix_bytes(q))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
 

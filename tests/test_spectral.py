@@ -1015,6 +1015,13 @@ class TestJsonReader:
         assert peak < copies * samples.nbytes + 32 * spectral._READ_BYTES, peak
 
 
+def chunk_bytes(k, q, lanes):
+    """The _STACK_CHUNK_BYTES that give each of `lanes` lanes a chunk of k
+    Bloch matrices at denominator q, each 16 q^2 bytes of entries plus its
+    row temporaries."""
+    return k * lanes * (16 * q * q + 80 * q + 64)
+
+
 def held_rule(dens, k_grid):
     """The figure the held-memory rule gives after each q in dens, term by
     term: every flux's samples, bands and objects, plus the largest one-flux
@@ -1025,11 +1032,10 @@ def held_rule(dens, k_grid):
     for q in dens:
         samples = q * k_grid * k_grid
         n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
-        step = max(1, spectral._STACK_CHUNK_BYTES // spectral._LANES // (16 * q * q))
+        step = max(1, spectral._STACK_CHUNK_BYTES // chunk_bytes(1, q, spectral._LANES))
         lanes = min(spectral._LANES, math.ceil(n_k / step))
         held += 8 * samples + 128 * q + 512
-        transient = max(transient, 8 * q * n_k
-                        + lanes * (min(n_k, step) + 1) * (16 * q * q + 56 * q + 64))
+        transient = max(transient, 8 * q * n_k + chunk_bytes(min(n_k, step) + 1, q, lanes))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
@@ -1080,16 +1086,16 @@ class TestAllocationBudget:
         assert listed == []
 
     def test_a_refusal_comes_before_any_solve(self, monkeypatch):
-        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 27 MB traced,
-        # but the rule's upper bound is 44 MB
+        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 10 MB traced,
+        # but the rule's upper bound is 20.5 MB
         shapes = count_eigvalsh(monkeypatch)
-        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 32 * 2**20)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
         with pytest.raises(ValueError, match="allocation budget"):
             spectrum(Flux.rational(0, 1), 1000)
         assert shapes == []
 
     def test_chunked_requests_fit_a_small_budget(self, monkeypatch):
-        # the whole q = 169 stack at k_grid 12 is 66 MB; the solve holds 5 MB
+        # the whole q = 169 stack at k_grid 12 is 66 MB; the solve holds 4 MB
         monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
         assert spectrum(Flux.rational(70, 169), 12).samples.size == 169 * 144
         seq = approximant_spectra(Flux.sqrt2(), 6, 12)
@@ -1204,7 +1210,8 @@ class TestChunkedSolve:
                     assert est.bands == ref_bands
 
     @pytest.mark.parametrize("nu,q,k_grid,ratio", [
-        (1, 8, 800, 1.25), (1, 2, 1000, 1.75), (2, 5, 601, 1.6), (1, 7, 401, 1.85)])
+        (1, 8, 800, 1.25), (1, 2, 1000, 1.75), (2, 5, 601, 1.6), (1, 7, 401, 1.85),
+        (0, 1, 1000, 1.5)])
     def test_solve_holds_no_copy_of_the_samples(self, nu, q, k_grid, ratio):
         # at gcd(q, k_grid) > 1 the samples, the reduced eigenvalues
         # (1/gcd(q, k_grid) of the samples) and one chunk; at gcd 1 the
@@ -1220,7 +1227,7 @@ class TestChunkedSolve:
 
     def test_large_stack_is_never_held_whole(self):
         # the q = 169 stack at k_grid 12 is 144 matrices, 66 MB; one lane's
-        # chunk is 9 of them, 4.1 MB, and each of two lanes' is 4
+        # chunk is 8 of them, 3.7 MB, and each of two lanes' is 4
         tracemalloc.start()
         try:
             spectrum(Flux.rational(70, 169), 12)
@@ -1360,7 +1367,7 @@ class TestLanes:
         for per_chunk in (1, short, *fewer):
             solved, eigvalsh = {}, np.linalg.eigvalsh
             with monkeypatch.context() as patch:
-                patch.setattr(spectral, "_STACK_CHUNK_BYTES", per_chunk * lanes * 16 * q * q)
+                patch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(per_chunk, q, lanes))
                 patch.setattr(np.linalg, "eigvalsh", lambda a: solved.setdefault(
                     lane_of_this_thread(), []).append(a.shape[0]) or eigvalsh(a))
                 est = spectrum(Flux.rational(nu, q), k_grid)
@@ -1372,7 +1379,7 @@ class TestLanes:
     def test_every_point_is_solved_once_by_its_lane(self, monkeypatch, lanes):
         # 40 points of 1/3 in chunks of 3: lane i solves chunks i, i + lanes, ...
         monkeypatch.setattr(spectral, "_LANES", lanes)
-        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 3 * lanes * 16 * 3 * 3)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(3, 3, lanes))
         ks = TWO_PI * np.arange(8) / 8
         solved = []
 
@@ -1392,7 +1399,7 @@ class TestLanes:
     def test_each_lane_reuses_one_buffer(self, monkeypatch, lanes):
         # a fresh chunk each time can leave the allocator holding two
         monkeypatch.setattr(spectral, "_LANES", lanes)
-        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(5, 3, lanes))
         stacks, eigvalsh = [], np.linalg.eigvalsh
 
         def keep(a):
@@ -1420,7 +1427,7 @@ class TestLanes:
         monkeypatch.setattr(threading, "Thread", Recorded)
         spectrum(Flux.rational(1, 3), 8)
         assert started == []
-        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(5, 3, lanes))
         spectrum(Flux.rational(1, 3), 8)
         assert started == [f"spectral lane {lane}" for lane in range(1, lanes)]
 
@@ -1429,7 +1436,7 @@ class TestLanes:
     def test_an_error_in_a_lane_is_raised_after_every_lane_ends(self, monkeypatch, lanes,
                                                                  failing):
         monkeypatch.setattr(spectral, "_LANES", lanes)
-        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 5 * lanes * 16 * 3 * 3)
+        monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(5, 3, lanes))
         eigvalsh = np.linalg.eigvalsh
 
         def fail_in_one_lane(a):
@@ -1447,7 +1454,7 @@ def test_many_lanes_switching_often_keep_every_row(monkeypatch):
     # eight lanes, more than the CPUs of a small host, with the interpreter
     # switching threads every microsecond: a lost or misplaced row moves bytes
     monkeypatch.setattr(spectral, "_LANES", 8)
-    monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", 8 * 16 * 8 * 8)
+    monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(1, 8, 8))
     ref_samples, ref_bands = reference_spectrum(3, 8, 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
