@@ -9,10 +9,12 @@ on invalid input: `main` turns any other ValueError or OSError into one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import landau as landau_mod
 from . import operators as ops_mod
@@ -22,12 +24,16 @@ from .phases import Flux, classify
 
 
 def _emit(payload: dict, text: str, fmt: str, out_path: str | None) -> None:
-    body = json.dumps(payload, indent=2) if fmt == "json" else text
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(body + "\n")
-    else:
-        print(body)
+    _write_lines([json.dumps(payload, indent=2) if fmt == "json" else text], out_path)
+
+
+def _write_lines(lines: Iterable[str], out_path: str | None) -> None:
+    """Each line and a newline, to out_path or stdout, one line at a time:
+    the bytes of printing the lines' join, as every caller writes a line."""
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")  # as print does, without a copy of the line
 
 
 def cmd_classify(args) -> int:
@@ -64,9 +70,11 @@ def cmd_verify(args) -> int:
 def cmd_invariant(args) -> int:
     flux = Flux.parse(args.flux)
     basis = derive_invariant_basis(args.max_j, flux)
-    lines = [str(el) for el in basis]
-    payload = {"flux": str(flux), "max_j": args.max_j, "basis": lines}
-    _emit(payload, "\n".join(lines), args.format, args.out)
+    if args.format == "json":
+        payload = {"flux": str(flux), "max_j": args.max_j, "basis": [str(el) for el in basis]}
+        _emit(payload, "", args.format, args.out)
+    else:
+        _write_lines(map(str, basis), args.out)  # one element's line held at a time
     return 0
 
 

@@ -37,6 +37,20 @@ __all__ = [
     "LORENTZ_TOLERANCE",
 ]
 
+# Both tolerances are relative.  A check computes products of n x n factors
+# A and B in floating point, and fl(AB) is within gamma_n |A| |B| of AB
+# entrywise, gamma_n = n u / (1 - n u) with u = 2^-53 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., sec. 3.5), so within
+# gamma_n ||A|| ||B|| in Frobenius norm.  A check passes when its interior
+# residual is at most the tolerance times its scale, sqrt(n_max - 1)
+# ||A|| ||B|| for the largest product it takes, the interior norm that
+# (AB)⊗I can reach.
+# Rounding alone is bounded by a few gamma_n of that, under 1e-12 at the
+# largest n_max the allocation budget admits (2,896), at any r and m; 1e-16
+# is measured at n_max 12 to 200 and |r| from 1e-100 to 1e8.  A wrong sign
+# leaves a term of the relation's own size: negating r leaves 2 r (n_max - 1)
+# in [x, y], 4 / n_max^1.5 of its scale, still 3e-5 at that n_max.
+# A relation that holds by construction is checked at scale 0: exactly.
 BRACKET_TOLERANCE = 1e-10
 LORENTZ_TOLERANCE = 1e-8
 
@@ -148,84 +162,95 @@ def level_degeneracies(ops: LandauOperators, n_levels: int) -> list[int]:
     |r|(n_max - 1)/(2m), exactly level n_max/2, and would double its count.
     """
     mode = _mode_spectrum(ops, n_levels, 2 * n_levels + 1)
-    return [ops.n_max * int(np.sum(np.abs(mode - lv) < LORENTZ_TOLERANCE))
-            for lv in mode[:n_levels]]
+    within = LORENTZ_TOLERANCE * abs(ops.r) / ops.mass  # relative to the spacing
+    return [ops.n_max * int(np.sum(np.abs(mode - lv) < within)) for lv in mode[:n_levels]]
 
 
-def _bracket_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
-    """(name, interior residual, relation) for each defining bracket.
+def _norms(ops: LandauOperators, *factors: np.ndarray) -> list[float]:
+    """sqrt(n_max - 1) and the Frobenius norm of each factor: a check's
+    scale is the first times the norms of the factors it multiplies."""
+    return [math.sqrt(ops.n_max - 1), *(float(np.linalg.norm(f)) for f in factors)]
+
+
+def _bracket_residuals(ops: LandauOperators) -> list[tuple[str, float, float, str]]:
+    """(name, interior residual, scale, relation) for each defining bracket.
 
     A bracket between an A⊗I and an I⊗B vanishes identically, and L is
     assembled from the very expression the identity states, so those
     residuals are exactly zero, as they are on the assembled matrices.
     """
     x, y, s = ops.x, ops.y, ops.ang_mode
+    keep, nx, ny, ns = _norms(ops, x, y, s)
     # each Q residual is a P one exactly negated, or the same expression
     p1_p2 = _interior_norm(_comm(x, y) - np.diag(np.full(ops.n_max, 1j * ops.r)))
     l_p1 = _interior_norm(_comm(x, s) - 1j * y)  # -[S,x] - iy
     l_p2 = _interior_norm(_comm(y, s) + 1j * x)  # -[S,y] + ix
     return [
-        ("bracket_p1_p2", p1_p2, "[P1,P2] = ir"),
-        ("bracket_q1_q2", p1_p2, "[Q1,Q2] = -ir"),
-        ("bracket_p1_q1", 0.0, "[P1,Q1] = 0"),
-        ("bracket_p1_q2", 0.0, "[P1,Q2] = 0"),
-        ("bracket_p2_q1", 0.0, "[P2,Q1] = 0"),
-        ("bracket_p2_q2", 0.0, "[P2,Q2] = 0"),
+        ("bracket_p1_p2", p1_p2, keep * nx * ny, "[P1,P2] = ir"),
+        ("bracket_q1_q2", p1_p2, keep * nx * ny, "[Q1,Q2] = -ir"),
+        ("bracket_p1_q1", 0.0, 0.0, "[P1,Q1] = 0"),
+        ("bracket_p1_q2", 0.0, 0.0, "[P1,Q2] = 0"),
+        ("bracket_p2_q1", 0.0, 0.0, "[P2,Q1] = 0"),
+        ("bracket_p2_q2", 0.0, 0.0, "[P2,Q2] = 0"),
         # [I⊗S - S⊗I, A⊗I] = -[S,A]⊗I and [I⊗S - S⊗I, I⊗B] = I⊗[S,B]
-        ("bracket_L_p1", l_p1, "[L,P1] = iP2"),
-        ("bracket_L_p2", l_p2, "[L,P2] = -iP1"),
-        ("bracket_L_q1", l_p1, "[L,Q1] = iQ2"),
-        ("bracket_L_q2", l_p2, "[L,Q2] = -iQ1"),
-        ("angular_momentum_identity", 0.0, "L = (Q^2 - P^2)/2r with constant 0"),
+        ("bracket_L_p1", l_p1, keep * nx * ns, "[L,P1] = iP2"),
+        ("bracket_L_p2", l_p2, keep * ny * ns, "[L,P2] = -iP1"),
+        ("bracket_L_q1", l_p1, keep * nx * ns, "[L,Q1] = iQ2"),
+        ("bracket_L_q2", l_p2, keep * ny * ns, "[L,Q2] = -iQ1"),
+        ("angular_momentum_identity", 0.0, 0.0, "L = (Q^2 - P^2)/2r with constant 0"),
     ]
 
 
-def _lorentz_residuals(ops: LandauOperators) -> list[tuple[str, float, str]]:
-    """(name, interior residual, relation) for each equation of motion.
+def _lorentz_residuals(ops: LandauOperators) -> list[tuple[str, float, float, str]]:
+    """(name, interior residual, scale, relation) for each equation of
+    motion.
 
     H acts on the velocity mode only, so it commutes with P1 and P2
     identically.
     """
     x, y, h = ops.x, ops.y, ops.ham_mode
+    keep, nx, ny, nh, ns = _norms(ops, x, y, h, ops.ang_mode)
     rm = ops.r / ops.mass
     return [
-        ("lorentz_q1", _interior_norm(1j * _comm(h, x) - rm * y),
+        ("lorentz_q1", _interior_norm(1j * _comm(h, x) - rm * y), keep * nh * nx,
          "dQ1/dt = i[H,Q1] = -(r/m) Q2"),
-        ("lorentz_q2", _interior_norm(-1j * _comm(h, y) - rm * x),
+        ("lorentz_q2", _interior_norm(-1j * _comm(h, y) - rm * x), keep * nh * ny,
          "dQ2/dt = i[H,Q2] = (r/m) Q1"),
-        ("conserved_p1", 0.0, "[H,P1] = 0"),
-        ("conserved_p2", 0.0, "[H,P2] = 0"),
+        ("conserved_p1", 0.0, 0.0, "[H,P1] = 0"),
+        ("conserved_p2", 0.0, 0.0, "[H,P2] = 0"),
         # [I⊗h, I⊗S - S⊗I] = I⊗[h,S]
         ("conserved_angular_momentum", _interior_norm(_comm(h, ops.ang_mode)),
-         "[H,L] = 0"),
+         keep * nh * ns, "[H,L] = 0"),
     ]
 
 
 def _report(ops: LandauOperators, residuals_of, tol: float) -> RelationReport:
-    """The residuals as checks within tol.  Finite operators can still
-    overflow a product or a norm; a residual past the float range refuses
-    the parameters instead of failing a check."""
+    """The residuals as checks within tol of their scales.  Finite operators
+    can still overflow a product or a norm; a residual or scale past the
+    float range refuses the parameters instead of deciding a check."""
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = residuals_of(ops)
     report = RelationReport()
-    for name, residual, detail in residuals:
-        if not math.isfinite(residual):
+    for name, residual, scale, detail in residuals:
+        if not (math.isfinite(residual) and math.isfinite(scale)):
             raise ValueError(f"invalid parameters: r={ops.r} and m={ops.mass} "
                              f"overflow the float range of {name}")
-        report.add(name, residual < tol, None,
+        report.add(name, residual <= tol * scale, None,
                    f"{detail}, interior residual {residual:.3e}")
     return report
 
 
 def bracket_report(ops: LandauOperators) -> RelationReport:
     """Interior-block residuals of the defining Lie brackets and of the
-    angular-momentum identity, within BRACKET_TOLERANCE.  Raises ValueError
-    when a residual overflows the float range (finite r and m can)."""
+    angular-momentum identity, within BRACKET_TOLERANCE of their scales.  Raises ValueError
+    when a residual or scale overflows the float range (finite r and m
+    can)."""
     return _report(ops, _bracket_residuals, BRACKET_TOLERANCE)
 
 
 def lorentz_check(ops: LandauOperators) -> RelationReport:
-    """Heisenberg equations of motion, within LORENTZ_TOLERANCE: the velocity
-    pair rotates at rate r/m while momenta and angular momentum are conserved.
-    Raises ValueError when a residual overflows the float range."""
+    """Heisenberg equations of motion, within LORENTZ_TOLERANCE of their
+    scales: the velocity pair rotates at rate r/m while momenta and angular
+    momentum are conserved.  Raises ValueError when a residual or scale
+    overflows the float range."""
     return _report(ops, _lorentz_residuals, LORENTZ_TOLERANCE)

@@ -15,12 +15,17 @@ Its eigenvalues depend on (k1, k2) only through cos(q k1) + cos(q k2)
 cos(q k) depends only on the residue q*j mod k_grid folded under
 r <-> k_grid - r, so `butterfly` solves one matrix per unordered pair of
 folded residues, at (k1, k2) = 2*pi*(f1, f2)/(q*k_grid), and repeats its
-eigenvalues by the pair's number of grid points.  The samples agree with
-the per-point solve to about 5e-14, not bit for bit.  `spectrum` keeps the
-per-point solve: its band edges are grid extrema, and at even q the two
-central bands touch within about 1e-15, so whether they merge rests on
-those last bits.
+eigenvalues by the pair's number of grid points.  The classes depend on q
+alone, so the sweep solves every reduced nu/q of a denominator as one
+stack, row by row at its own numerator, and splits the eigenvalues back
+into fluxes.  The samples agree with the per-point solve to about 5e-14,
+not bit for bit.  `spectrum` keeps the per-point solve: its band edges are
+grid extrema, and at even q the two central bands touch within about
+1e-15, so whether they merge rests on those last bits.
 
+A stack is built by a _bloch_builder, which prepares each term of the
+Hamiltonian once per denominator and exponentiates only the entries whose
+exponent can be nonzero, with the bits of exponentiating every entry.
 Bloch matrices are built and solved _STACK_CHUNK_BYTES at a time (at least
 one) through the same LAPACK call as one batched call, so the eigenvalues
 are bit-identical.  A solve of more than one chunk runs in up to _LANES
@@ -30,11 +35,12 @@ every CPU).  Lane i builds and solves chunks i, i + lanes, ... in its own
 buffer of _STACK_CHUNK_BYTES // _LANES, into disjoint rows of one
 eigenvalue array, so lanes change neither the matrices nor the LAPACK
 call.  One rule sizes every request before its first solve: every
-returned flux's samples stay held, plus the largest transient of one flux
-solve (its reduced eigenvalues and every lane's chunk of matrices) and a
-fixed slack, against reporting.ALLOCATION_BUDGET_BYTES.  A matrix costs
-the chunk and the rule the same _matrix_bytes(q), its 16 q^2 bytes of
-entries and its row temporaries.  The budget bounds memory, not run time.
+returned flux's samples stay held, plus the largest transient of one
+stack's solve (its eigenvalues, unless they are the samples, and every
+lane's chunk of matrices) and a fixed slack, against
+reporting.ALLOCATION_BUDGET_BYTES.  A matrix costs the chunk and the rule
+the same _matrix_bytes(q), its 16 q^2 bytes of entries and its row
+temporaries.  The budget bounds memory, not run time.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import math
 import os
 import re
 import threading
-from collections.abc import Callable, Generator, Iterable, Iterator, Mapping
+from collections.abc import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -103,8 +109,9 @@ _LANES = _lane_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffin
 
 def _matrix_bytes(den: int) -> int:
     """Bytes a Bloch matrix at denominator den costs: its entries and the row
-    temporaries of _bloch_stack, which tracemalloc puts at up to about 80 q."""
-    return 16 * den * den + 80 * den + 64
+    temporaries of a _bloch_builder build, which tracemalloc puts at up to
+    about 64 q."""
+    return 16 * den * den + 64 * den + 64
 
 
 def _chunk_length(den: int) -> int:
@@ -112,22 +119,25 @@ def _chunk_length(den: int) -> int:
     return max(1, _STACK_CHUNK_BYTES // _LANES // _matrix_bytes(den))
 
 
-def _require_held(dens: Iterable[int], k_grid: int, what: str) -> None:
-    """Check k_grid, then refuse at the first q over budget a request that
-    solves one flux per q in `dens`, so a lazy sweep is never listed whole.
-    Each flux holds its samples, 128 bytes a band and 512 of objects; on top
-    come the largest solve transient (the reduced eigenvalues, which bound
-    a butterfly flux's class eigenvalues too, and each busy lane's chunk
-    plus one more matrix, at _matrix_bytes each) and _SLACK_BYTES."""
+def _require_held(solves: Iterable[tuple[int, int, int]], k_grid: int, what: str) -> None:
+    """Check k_grid, then refuse at the first q over budget a request whose
+    solves (q, fluxes, rows) each return `fluxes` fluxes at denominator q
+    from one stack of `rows` Bloch matrices, so a lazy sweep is never listed
+    whole.  Each flux holds its samples, 128 bytes a band and 512 of objects;
+    on top come the largest solve transient and _SLACK_BYTES.  A solve's
+    transient is its eigenvalues, 8 q bytes a row, unless there are as many
+    rows as sample rows (a spectrum at gcd(q, k_grid) = 1), when they are
+    the samples; and each busy lane's chunk plus one more matrix, at
+    _matrix_bytes each."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
-    for q in dens:
-        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+    for q, fluxes, rows in solves:
         step = _chunk_length(q)
-        held += 8 * q * k_grid * k_grid + 128 * (q + 4)
-        transient = max(transient, 8 * q * n_k + min(_LANES, -(-n_k // step))
-                        * (min(n_k, step) + 1) * _matrix_bytes(q))
+        held += fluxes * (8 * q * k_grid * k_grid + 128 * (q + 4))
+        eigs = 0 if rows == fluxes * k_grid * k_grid else 8 * q * rows
+        transient = max(transient, eigs + min(_LANES, -(-rows // step))
+                        * (min(rows, step) + 1) * _matrix_bytes(q))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
 
@@ -141,26 +151,53 @@ def _validate_fraction(num: int, den: int) -> None:
         raise ValueError(f"flux fraction {num}/{den} is not in lowest terms")
 
 
-def _bloch_stack(num: int, q: int, k1: np.ndarray, k2: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """Fill out, of shape (len(k1), q, q), with the stack of Bloch matrices
-    and return it, one per (k1[i], k2[i]): _HAMILTONIAN in the
-    representation q1 -> S, q2 -> D at flux num/q.  S sends site m to m - 1
-    and closes the cycle with e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so
-    S D S^-1 D^-1 = e^{-i th} as in `algebra`.  A term c * phase * q1^a q2^b
-    adds c * phase(th) * S^a D^b: column m lands in row (m - a) mod q."""
-    theta, m = TWO_PI * num / q, np.arange(q)
-    angle, qk1 = k2[:, None] + TWO_PI * num * m / q, q * k1[:, None]
-    out[...] = 0
+def _bloch_builder(nums: Sequence[int], q: int
+                   ) -> Callable[[int | np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                                 np.ndarray]:
+    """build(which, k1, k2, out) for Bloch stacks at denominator q: it fills
+    the C-contiguous out, of shape (len(k1), q, q), with one matrix per row
+    i and returns it, _HAMILTONIAN in the representation q1 -> S, q2 -> D at
+    flux nums[which[i]]/q and momenta (k1[i], k2[i]); which may be one index
+    for every row.  S sends site m to m - 1 and closes the cycle with
+    e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so S D S^-1 D^-1 = e^{-i th} as
+    in `algebra`.  A term c * phase * q1^a q2^b adds c * phase(th) * S^a D^b:
+    column m lands in row m - a - w q, times e^{-i(b (k2 + th m) + w q k1)},
+    for the w = floor((m - a) / q) wraps of its hop.
+
+    Each term's value c * phase(th) at every numerator, and its one or two
+    runs of columns with one w, which fill a stride of the flattened
+    matrix, are found once here.  A run exponentiates only if its exponent
+    can be nonzero, when b != 0 or w != 0; a run with neither takes the
+    term's value, which is e^0 times the value but for the sign of a zero
+    part, and out, summed from +0, never keeps that sign, so the matrices
+    have the bits of exponentiating every entry."""
+    m = np.arange(q)
+    turns = TWO_PI * np.array(nums)[:, None] * m / q  # th m at each numerator
+    runs = []
     # q2 terms first: at q = 1 all terms share one entry, summed in this
     # order as 2 cos(k2) + cos(k1) + cos(k1), bit for bit as hand-coded
     for c, mono in sorted(_HAMILTONIAN.terms(), key=lambda t: abs(t[1].exponents[2])):
         _j1, _j2, a, b = mono.exponents
-        wraps, rows = np.divmod(m - a, q)
-        entries = c * mono.phase.evaluate(theta) * np.exp(-1j * (b * angle + wraps * qk1))
-        out[:, rows, m] += entries
-        del entries  # freed before the next term's are computed
-    return out
+        value = np.array([c * mono.phase.evaluate(TWO_PI * num / q) for num in nums])
+        # columns below a mod q wrap once more than the rest
+        for lo, hi, w in ((0, a % q, -(a // q) - 1), (a % q, q, -(a // q))):
+            if lo < hi:
+                start = (lo - a - w * q) * q + lo  # row m - a - w q, column m
+                runs.append((value, b, w, slice(lo, hi),
+                             slice(start, start + (hi - lo - 1) * (q + 1) + 1, q + 1)))
+
+    def build(which: int | np.ndarray, k1: np.ndarray, k2: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        angle, qk1 = k2[:, None] + turns[which], q * k1[:, None]
+        out[...] = 0
+        flat = out.reshape(len(out), q * q)  # a view of out
+        for value, b, w, cols, at in runs:
+            # (1, 1) for one index: numpy multiplies a (1,) operand into one
+            # column through another loop, which can move the last bit
+            v = np.reshape(value[which], (-1, 1))
+            flat[:, at] += v * np.exp(-1j * (b * angle[:, cols] + w * qk1)) if b or w else v
+        return out
+    return build
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,17 +224,20 @@ class SpectrumEstimate:
         }
 
 
-def _solve_points(num: int, den: int, n: int,
-                  momenta: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Eigenvalues of the n Bloch matrices at the momenta (k1, k2) =
-    momenta(i) of the point indices i = 0 .. n - 1, solved in chunks of
-    _chunk_length(den) matrices into one (n, q) array: each chunk asks for
-    its own momenta, so no array of n momenta is held.  Lane i solves chunks
-    i, i + lanes, ... in order, lane 0 in the calling thread and the others
-    on threads started only when there is more than one chunk; every lane
-    builds its chunks in one buffer, since a fresh array per chunk can leave
-    the allocator holding two.  All lanes are joined before the first
-    exception of any lane is raised."""
+def _solve_points(nums: Sequence[int], den: int, n: int,
+                  momenta: Callable[[np.ndarray], tuple[int | np.ndarray, np.ndarray,
+                                                        np.ndarray]]) -> np.ndarray:
+    """Eigenvalues of the n Bloch matrices at the numerator indices and
+    momenta (which, k1, k2) = momenta(i) of the point indices i = 0 .. n - 1,
+    each at flux nums[which]/den, solved in chunks of _chunk_length(den)
+    matrices into one (n, den) array: each chunk asks for its own momenta,
+    so no array of n momenta is held, and every chunk is built by one
+    _bloch_builder.  Lane i solves chunks i, i + lanes, ... in order, lane 0
+    in the calling thread and the others on threads started only when there
+    is more than one chunk; every lane builds its chunks in one buffer,
+    since a fresh array per chunk can leave the allocator holding two.  All
+    lanes are joined before the first exception of any lane is raised."""
+    build = _bloch_builder(nums, den)
     step = _chunk_length(den)
     starts = range(0, n, step)
     lanes = min(_LANES, len(starts))
@@ -209,9 +249,8 @@ def _solve_points(num: int, den: int, n: int,
         chunk = buffers[lane]
         try:
             for lo in starts[lane::lanes]:
-                k1, k2 = momenta(np.arange(lo, min(lo + step, n)))
-                eigs[lo:lo + step] = np.linalg.eigvalsh(
-                    _bloch_stack(num, den, k1, k2, chunk[:k1.size]))
+                which, k1, k2 = momenta(np.arange(lo, min(lo + step, n)))
+                eigs[lo:lo + step] = np.linalg.eigvalsh(build(which, k1, k2, chunk[:k1.size]))
         except BaseException as exc:  # raised in the calling thread once all lanes end
             errors[lane] = exc
 
@@ -228,6 +267,12 @@ def _solve_points(num: int, den: int, n: int,
     return eigs
 
 
+def _grid_points(den: int, k_grid: int) -> int:
+    """Momenta `spectrum` solves at denominator den: one k1 per residue class
+    of e^{i den k1} on the grid, by every k2."""
+    return (k_grid // math.gcd(den, k_grid)) * k_grid
+
+
 def _chambers_classes(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The folded residues f1 <= f2 of every Chambers class of the k_grid x
     k_grid grid at denominator den, and its number of grid points: j has
@@ -241,12 +286,12 @@ def _chambers_classes(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np
     return folded[a], folded[b], counts
 
 
-def _solve_classes(num: int, den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of one Bloch matrix per Chambers class, at (k1, k2) =
-    2*pi*(f1, f2)/(q*k_grid), and each class's number of grid points."""
-    f1, f2, counts = _chambers_classes(den, k_grid)
-    scale = TWO_PI / (den * k_grid)
-    return _solve_points(num, den, counts.size, lambda i: (scale * f1[i], scale * f2[i])), counts
+def _class_count(den: int, k_grid: int) -> int:
+    """The number of `_chambers_classes(den, k_grid)`: the residues are the
+    k_grid / g multiples of g = gcd(den, k_grid), which fold to
+    f = k_grid // g // 2 + 1 values, and f (f + 1) / 2 unordered pairs."""
+    f = k_grid // math.gcd(den, k_grid) // 2 + 1
+    return f * (f + 1) // 2
 
 
 def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
@@ -255,12 +300,11 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
         raise ValueError("spectrum needs a rational flux; use approximant_spectra "
                          "for an irrational one")
     num, den = flux.numerator, flux.denominator
-    _require_held([den], k_grid, "the spectrum")
+    n = _grid_points(den, k_grid)
+    _require_held([(den, 1, n)], k_grid, "the spectrum")
     # one k1 representative per residue class, each solved once
     ks = TWO_PI * np.arange(k_grid) / k_grid
-    g = math.gcd(den, k_grid)
-    eigs = _solve_points(num, den, (k_grid // g) * k_grid,
-                         lambda i: (ks[i // k_grid], ks[i % k_grid]))
+    eigs = _solve_points([num], den, n, lambda i: (0, ks[i // k_grid], ks[i % k_grid]))
     # each row is ascending, so band j's bottom and top never fall as j grows:
     # band j starts a merged band unless it overlaps the top of band j - 1
     lo, hi = eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist()
@@ -268,19 +312,20 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     bands = tuple((lo[a], hi[b - 1]) for a, b in zip(first, [*first[1:], den]))
     flat = eigs.ravel()
     flat.sort()
+    g = math.gcd(den, k_grid)
     return SpectrumEstimate(flux, flat if g == 1 else np.repeat(flat, g), bands, k_grid)
 
 
-def _reduced_fluxes(q_max: int) -> Iterator[tuple[int, int]]:
-    """(nu, q) of every reduced nu/q in [0, 1) with q <= q_max, lazily."""
-    return ((nu, q) for q in range(1, q_max + 1) for nu in range(q) if math.gcd(nu, q) == 1)
+def _numerators(den: int) -> list[int]:
+    """Every nu with nu/den a reduced flux in [0, 1)."""
+    return [nu for nu in range(den) if math.gcd(nu, den) == 1]
 
 
 def flux_values(q_max: int) -> list[Fraction]:
     """All reduced fractions nu/q in [0, 1) with q <= q_max, ascending."""
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
-    return sorted(Fraction(nu, q) for nu, q in _reduced_fluxes(q_max))
+    return sorted(Fraction(nu, q) for q in range(1, q_max + 1) for nu in _numerators(q))
 
 
 _ROW = np.dtype([("num", np.int64), ("den", np.int64), ("energy", np.float64)])
@@ -556,16 +601,25 @@ class ButterflyDataset:
 
 def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
     """Harper spectra for every reduced flux with denominator up to q_max,
-    one Bloch solve per Chambers class."""
-    _require_held((q for _nu, q in _reduced_fluxes(q_max)), k_grid, "the butterfly sweep")
-    entries = []
-    for phi in flux_values(q_max):
-        num, den = phi.numerator, phi.denominator
-        eigs, counts = _solve_classes(num, den, k_grid)
-        samples = np.repeat(eigs, counts, axis=0).ravel()
-        samples.sort()
-        entries.append((num, den, samples))
-    return ButterflyDataset(q_max, k_grid, entries)
+    one Bloch solve per Chambers class, every flux of a denominator in one
+    stack."""
+    dens = range(1, q_max + 1)
+    _require_held(((q, len(nums), len(nums) * _class_count(q, k_grid))
+                   for q, nums in zip(dens, map(_numerators, dens))),
+                  k_grid, "the butterfly sweep")
+    held = {}
+    for q, nums in zip(dens, map(_numerators, dens)):
+        f1, f2, counts = _chambers_classes(q, k_grid)
+        n_c, scale = counts.size, TWO_PI / (q * k_grid)
+        eigs = _solve_points(nums, q, len(nums) * n_c,
+                             lambda i: (i // n_c, scale * f1[i % n_c], scale * f2[i % n_c]))
+        for j, num in enumerate(nums):
+            samples = np.repeat(eigs[j * n_c:(j + 1) * n_c], counts, axis=0).ravel()
+            samples.sort()
+            held[num, q] = samples
+    return ButterflyDataset(q_max, k_grid, [
+        (phi.numerator, phi.denominator, held.pop((phi.numerator, phi.denominator)))
+        for phi in flux_values(q_max)])
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -599,7 +653,8 @@ def approximant_spectra(flux: Flux, depth: int, k_grid: int) -> ApproximantSeque
     irrational flux on k_grid, with the Hausdorff distance of each
     consecutive pair."""
     convergents = flux.convergents(depth)
-    _require_held([c.denominator for c in convergents], k_grid, "the approximant sequence")
+    _require_held([(c.denominator, 1, _grid_points(c.denominator, k_grid)) for c in convergents],
+                  k_grid, "the approximant sequence")
     spectra = [spectrum(Flux.rational(c.numerator, c.denominator), k_grid)
                for c in convergents]
     distances = [hausdorff_distance(s0.samples, s1.samples)

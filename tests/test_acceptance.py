@@ -14,7 +14,7 @@ import pytest
 
 import fluxlattice as fl
 from fluxlattice.algebra import derive_invariant_basis, harper_element
-from fluxlattice.spectral import _bloch_stack
+from fluxlattice.spectral import _bloch_builder
 
 from test_algebra import _rref, brute_force_invariant_basis, element_coordinates
 
@@ -126,7 +126,7 @@ def test_05_harper_spectra():
     k1s = np.repeat(2 * np.pi * np.arange(w) / L, L)
     k2s = np.tile(2 * np.pi * np.arange(L) / L, w)
     bloch = np.sort(np.linalg.eigvalsh(
-        _bloch_stack(1, 4, k1s, k2s, np.empty((k1s.size, 4, 4), dtype=complex))).ravel())
+        _bloch_builder([1], 4)(0, k1s, k2s, np.empty((k1s.size, 4, 4), dtype=complex))).ravel())
     ok = ok and np.max(np.abs(torus - bloch)) < 1e-9
     report("5 Harper spectra", ok, time.time() - t0, 30.0,
            "flux 0 band, flux 1/2 closed form, flux 1/3 symmetry, flux 1/4 "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fluxlattice import landau, reporting
+from fluxlattice.cli import main
 from fluxlattice.landau import (
     BRACKET_TOLERANCE,
     LORENTZ_TOLERANCE,
@@ -248,6 +249,21 @@ class TestMotion:
                 check(ops)
 
 
+class TestFieldScale:
+    @pytest.mark.parametrize("r", [1e5, -1e5, 1e-12, 1e8])
+    def test_correct_operators_pass_at_any_field_strength(self, r):
+        # an absolute tolerance failed [P1,P2] = ir at r = 1e5, where the
+        # residual is 4.1e-9 of products of size 1e7
+        ops = build_landau(r, 1.0, 20)
+        assert bracket_report(ops).all_pass, bracket_report(ops).to_text()
+        assert lorentz_check(ops).all_pass, lorentz_check(ops).to_text()
+        assert level_degeneracies(ops, 4) == [20] * 4
+
+    def test_cli_passes_at_a_strong_field(self, capsys):
+        assert main(["landau", "--r=1e5", "--m", "1", "--n-max", "20"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+
 class TestTruncationTrend:
     def test_residuals_stay_below_tolerance_as_truncation_grows(self):
         # every relation on the factors; TestFactorCrossCheck ties them to
@@ -319,7 +335,7 @@ def full_space_residuals(ops):
 
 def factor_residuals(ops):
     rows = landau._bracket_residuals(ops) + landau._lorentz_residuals(ops)
-    return {name: residual for name, residual, _ in rows}
+    return {name: residual for name, residual, _scale, _ in rows}
 
 
 CROSS_CHECK_PARAMS = [(1.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-2.0, 0.5), (1.7, 0.3)]
@@ -354,13 +370,24 @@ class TestFactorCrossCheck:
         assert level_degeneracies(ops, n_levels) == expected
 
 
+def negated_r(ops):
+    return dataclasses.replace(ops, r=-ops.r)
+
+
+def negated_y(ops):
+    return dataclasses.replace(ops, y=-ops.y)
+
+
 class TestNegativeControl:
-    @pytest.mark.parametrize("corrupt", [
-        lambda ops: dataclasses.replace(ops, r=-ops.r),
-        lambda ops: dataclasses.replace(ops, y=-ops.y),
-    ], ids=["negated_r", "negated_y"])
-    def test_corrupted_factors_fail(self, corrupt):
-        ops = corrupt(build_landau(1.0, 1.0, 12))
+    # the tolerances are relative, so a corruption fails at every field
+    # strength, where an absolute one passes it at small r
+    @pytest.mark.parametrize("corrupt,r", [
+        (negated_r, 1.0), (negated_y, 1.0), (negated_r, 1e5), (negated_y, 1e5),
+        (negated_r, 1e-12), (negated_y, 1e-12),
+    ], ids=["negated_r", "negated_y", "negated_r at r=1e5", "negated_y at r=1e5",
+            "negated_r at r=1e-12", "negated_y at r=1e-12"])
+    def test_corrupted_factors_fail(self, corrupt, r):
+        ops = corrupt(build_landau(r, 1.0, 12))
         assert not bracket_report(ops).all_pass
         assert not lorentz_check(ops).all_pass
         # the factor residuals still measure what the assembled space shows

@@ -44,7 +44,7 @@ def random_reduced_fraction(q_max=12):
 
 def bloch_stack(nu, q, k1, k2):
     """The Bloch stack at momenta (k1[i], k2[i]), built in a fresh buffer."""
-    return spectral._bloch_stack(nu, q, k1, k2, np.empty((len(k1), q, q), dtype=complex))
+    return spectral._bloch_builder([nu], q)(0, k1, k2, np.empty((len(k1), q, q), dtype=complex))
 
 
 def bloch_at(nu, q, k1, k2):
@@ -123,9 +123,33 @@ class TestBlochMatrix:
             assert same_stack_bits(bloch_stack(nu, q, k1, k2),
                                    reference_bloch_stack(nu, q, k1, k2)), (nu, q)
 
+    @pytest.mark.parametrize("element", [
+        harper_element(),
+        AlgebraElement([(0.5 - 0.25j, Monomial((0, 0, 1, 2), ExactPhase(3, 1, 0))),
+                        (1.5, Monomial((0, 0, -3, 0), ExactPhase(-1, 0, 0))),
+                        (0.75j, Monomial((0, 0, 0, -1), ExactPhase(2, 0, 0)))]),
+    ], ids=["harper", "theta phases"])
+    def test_a_stack_of_mixed_numerators_is_the_per_numerator_stacks(self, monkeypatch,
+                                                                      element):
+        # each row at its own numerator, in any order, has the bits of a
+        # stack at that numerator alone, also where a term's value is a
+        # phase of theta and so differs between numerators
+        monkeypatch.setattr(spectral, "_HAMILTONIAN", element)
+        gen = np.random.default_rng(1)
+        for q in range(1, 16):
+            nums = [nu for nu in range(q) if math.gcd(nu, q) == 1]
+            which = gen.integers(len(nums), size=40)
+            k1, k2 = gen.uniform(-TWO_PI, TWO_PI, 40), gen.uniform(-TWO_PI, TWO_PI, 40)
+            mixed = spectral._bloch_builder(nums, q)(which, k1, k2,
+                                                     np.empty((40, q, q), dtype=complex))
+            for j, nu in enumerate(nums):
+                rows = which == j
+                assert same_stack_bits(mixed[rows], bloch_stack(nu, q, k1[rows], k2[rows])), (
+                    nu, q)
+
 
 class TestRepresentation:
-    """_bloch_stack evaluates whatever element spectral._HAMILTONIAN holds;
+    """_bloch_builder evaluates whatever element spectral._HAMILTONIAN holds;
     on monomials it must be a representation of the q-pair relations."""
 
     @staticmethod
@@ -1019,23 +1043,31 @@ def chunk_bytes(k, q, lanes):
     """The _STACK_CHUNK_BYTES that give each of `lanes` lanes a chunk of k
     Bloch matrices at denominator q, each 16 q^2 bytes of entries plus its
     row temporaries."""
-    return k * lanes * (16 * q * q + 80 * q + 64)
+    return k * lanes * (16 * q * q + 64 * q + 64)
 
 
-def held_rule(dens, k_grid):
+def held_rule(dens, k_grid, sweep=False):
     """The figure the held-memory rule gives after each q in dens, term by
-    term: every flux's samples, bands and objects, plus the largest one-flux
-    transient (reduced eigenvalues and, for each lane that has a chunk to
-    solve, one chunk plus one more matrix) and the slack."""
+    term: every flux's samples, bands and objects, plus the largest one-solve
+    transient and the slack.  A spectrum solves one flux on its reduced grid
+    of n_k points, and at gcd(q, k_grid) = 1 those eigenvalues are its
+    samples; a sweep solves every reduced nu/q at q in one stack, one matrix
+    a Chambers class.  A solve's transient is its eigenvalues when they are
+    not the samples and, for each lane that has a chunk to solve, one chunk
+    plus one more matrix."""
     held = transient = 0
     figures = []
     for q in dens:
-        samples = q * k_grid * k_grid
-        n_k = (k_grid // math.gcd(q, k_grid)) * k_grid
+        fluxes = sum(math.gcd(nu, q) == 1 for nu in range(q)) if sweep else 1
+        if sweep:
+            rows = eigs = fluxes * spectral._chambers_classes(q, k_grid)[2].size
+        else:
+            rows = (k_grid // math.gcd(q, k_grid)) * k_grid
+            eigs = 0 if math.gcd(q, k_grid) == 1 else rows
         step = max(1, spectral._STACK_CHUNK_BYTES // chunk_bytes(1, q, spectral._LANES))
-        lanes = min(spectral._LANES, math.ceil(n_k / step))
-        held += 8 * samples + 128 * q + 512
-        transient = max(transient, 8 * q * n_k + chunk_bytes(min(n_k, step) + 1, q, lanes))
+        lanes = min(spectral._LANES, math.ceil(rows / step))
+        held += fluxes * (8 * q * k_grid * k_grid + 128 * q + 512)
+        transient = max(transient, 8 * q * eigs + chunk_bytes(min(rows, step) + 1, q, lanes))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
@@ -1064,8 +1096,8 @@ class TestAllocationBudget:
         assert solved == []
 
     def test_butterfly_sizes_the_whole_sweep_first(self, monkeypatch):
-        # q_max = 3, k_grid = 6: 0/1, 1/2, 1/3 and 2/3, sized in that order
-        nbytes = held_rule([1, 2, 3, 3], 6)[-1]
+        # q_max = 3, k_grid = 6: 0/1, 1/2, then 1/3 and 2/3 in one stack
+        nbytes = held_rule([1, 2, 3], 6, sweep=True)[-1]
         solved = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -1076,7 +1108,7 @@ class TestAllocationBudget:
         assert solved == []
         monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", nbytes)
         assert 8 * butterfly(3, 6).n_rows() == 8 * 36 * (1 + 2 + 3 + 3)
-        assert len(solved) == 4
+        assert len(solved) == 3
 
     def test_huge_sweep_refused_before_listing_fluxes(self, monkeypatch):
         listed = []
@@ -1086,10 +1118,10 @@ class TestAllocationBudget:
         assert listed == []
 
     def test_a_refusal_comes_before_any_solve(self, monkeypatch):
-        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 10 MB traced,
-        # but the rule's upper bound is 20.5 MB
+        # the whole reduced grid of 0/1 at k_grid 1000 peaks at about 10.4 MB
+        # traced, but the rule's upper bound is 12.5 MB
         shapes = count_eigvalsh(monkeypatch)
-        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 16 * 2**20)
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 12 * 10**6)
         with pytest.raises(ValueError, match="allocation budget"):
             spectrum(Flux.rational(0, 1), 1000)
         assert shapes == []
@@ -1239,15 +1271,26 @@ class TestChunkedSolve:
     def test_small_stacks_are_one_call(self, monkeypatch):
         shapes = count_eigvalsh(monkeypatch)
         butterfly(3, 6)
-        # 0/1, 1/3, 1/2 and 2/3, each over all its Chambers classes: folded
-        # residues {0, 1, 2, 3} at q = 1, {0, 3} at q = 3 and {0, 2} at q = 2
-        assert shapes == [(10, 1, 1), (3, 3, 3), (3, 2, 2), (3, 3, 3)]
+        # one stack a denominator, over every Chambers class of each of its
+        # fluxes: folded residues {0, 1, 2, 3} at q = 1 (0/1), {0, 2} at
+        # q = 2 (1/2) and {0, 3} at q = 3 (1/3 and 2/3)
+        assert shapes == [(10, 1, 1), (3, 2, 2), (6, 3, 3)]
+
+
+def solve_classes(nu, q, k_grid):
+    """Reference: the class solve of one flux, as the sweep first solved it,
+    one stack per flux; the eigenvalues of one Bloch matrix per Chambers
+    class, at (k1, k2) = 2*pi*(f1, f2)/(q*k_grid), and each class's number
+    of grid points."""
+    f1, f2, counts = spectral._chambers_classes(q, k_grid)
+    scale = TWO_PI / (q * k_grid)
+    return np.linalg.eigvalsh(bloch_stack(nu, q, scale * f1, scale * f2)), counts
 
 
 def class_deviation(nu, q, k_grid):
     """Largest distance between the class solve's samples, each class's
     eigenvalues repeated by its count, and the per-point reference."""
-    eigs, counts = spectral._solve_classes(nu, q, k_grid)
+    eigs, counts = solve_classes(nu, q, k_grid)
     assert counts.sum() == k_grid ** 2
     samples = np.sort(np.repeat(eigs, counts, axis=0).ravel())
     return float(np.max(np.abs(samples - reference_spectrum(nu, q, k_grid)[0])))
@@ -1278,6 +1321,34 @@ class TestChambersClasses:
         for nu, q, samples in ds.entries:
             assert samples.size == q * 144
             assert np.max(np.abs(samples - reference_spectrum(nu, q, 12)[0])) < 1e-12
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("per_chunk", [None, 5])
+    def test_butterfly_is_the_per_flux_class_solve_bit_for_bit(self, monkeypatch, lanes,
+                                                               per_chunk):
+        # each denominator is one stack, split back into its fluxes; with 5
+        # matrices a lane's chunk at q = 9 every larger stack spans several
+        # chunks, which cut across fluxes and run in every lane
+        monkeypatch.setattr(spectral, "_LANES", lanes)
+        if per_chunk:
+            monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(per_chunk, 9, lanes))
+        shapes = count_eigvalsh(monkeypatch)
+        ds = butterfly(9, 12)
+        assert (len(shapes) > 9) == bool(per_chunk)
+        assert [(n, d) for n, d, _s in ds.entries] == [
+            (f.numerator, f.denominator) for f in flux_values(9)]
+        for nu, q, samples in ds.entries:
+            eigs, counts = solve_classes(nu, q, 12)
+            expected = np.repeat(eigs, counts, axis=0).ravel()
+            expected.sort()
+            assert np.array_equal(samples.view(np.int64), expected.view(np.int64)), (nu, q)
+
+    def test_class_count_is_the_number_of_classes(self):
+        # the sweep is sized by this count, without building the classes
+        for k_grid in range(4, 41):
+            for q in range(1, 50):
+                assert spectral._class_count(q, k_grid) == (
+                    spectral._chambers_classes(q, k_grid)[2].size), (q, k_grid)
 
     def test_butterfly_sizes_its_sweep_once(self, monkeypatch):
         walks = []
@@ -1385,14 +1456,14 @@ class TestLanes:
 
         def momenta(i):
             solved.append((lane_of_this_thread(), i))
-            return ks[i // 8], ks[i % 8]
-        eigs = spectral._solve_points(1, 3, 40, momenta)
+            return 0, ks[i // 8], ks[i % 8]
+        eigs = spectral._solve_points([1], 3, 40, momenta)
         points = np.concatenate([i for _lane, i in solved])
         assert np.array_equal(np.sort(points), np.arange(40))
         for lane in range(lanes):
             assert [i[0] for solver, i in solved if solver == lane] == list(
                 range(3 * lane, 40, 3 * lanes))
-        whole = np.linalg.eigvalsh(bloch_stack(1, 3, *momenta(np.arange(40))))
+        whole = np.linalg.eigvalsh(bloch_stack(1, 3, *momenta(np.arange(40))[1:]))
         assert eigs.tobytes() == whole.tobytes()
 
     @ALL_LANES
