@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -128,6 +129,12 @@ def cmd_butterfly(args) -> int:
 
 
 def cmd_landau(args) -> int:
+    # the text prints levels (|r|/m)(n - 1/2) to 1e-8; a spacing of ten such
+    # units keeps the four printed levels distinct and nonzero.  r = 0 and an
+    # m that is not positive and finite are left to build_landau's messages.
+    if 0 < args.m < math.inf and 0 < abs(args.r) < 1e-7 * args.m:
+        raise ValueError(f"invalid parameters: r={args.r} and m={args.m} give a level "
+                         f"spacing |r|/m below 1e-07, too fine for the printed levels")
     ops = landau_mod.build_landau(args.r, args.m, args.n_max)
     if args.n_max < 8:
         print(f"warning: n_max={args.n_max} leaves almost no interior block; "

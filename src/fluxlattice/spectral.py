@@ -50,7 +50,7 @@ import math
 import os
 import re
 import threading
-from collections.abc import Callable, Generator, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -385,12 +385,14 @@ def _parsed(blocks: Iterable[list[str]], row: Callable[[str], str]
         yield records, np.diff(cuts, append=strings.size)
 
 
-def _pieces(fh: TextIO, text: str, sep: str, what: str
-            ) -> Generator[list[str], None, str]:
+def _pieces(fh: TextIO, text: str, sep: str, what: str, end: str = ""
+            ) -> Iterator[list[str]]:
     """Blocks of the pieces of text and then of fh, read _READ_BYTES
-    characters at a time and split at sep; the last piece is returned.  The
-    last piece of a read is carried into the next, and one longer than
-    _READ_BYTES is refused as a malformed butterfly `what`."""
+    characters at a time and split at sep; the last piece comes last, with
+    `end` cut off, as a block of its own, and one without `end` (which only
+    the JSON body has) is refused.  The last piece of a read is carried into
+    the next, and one longer than _READ_BYTES is refused as a malformed
+    butterfly `what`."""
     piece = ""
     while text:
         *pieces, piece = (piece + text).split(sep)
@@ -399,24 +401,21 @@ def _pieces(fh: TextIO, text: str, sep: str, what: str
         if pieces:
             yield pieces
         text = fh.read(_READ_BYTES)
-    return piece
-
-
-def _csv_lines(fh: TextIO) -> Iterator[list[str]]:
-    """The blocks of lines of the CSV body in fh, split by `_pieces`, and
-    its last line as a block of its own."""
-    last = yield from _pieces(fh, fh.read(_READ_BYTES), "\n", "row")
-    yield [last]
+    if not piece.endswith(end):
+        raise ValueError(f"malformed butterfly JSON: expected {end!r} at the end, "
+                         f"got {piece[-80:]!r}")
+    yield [piece.removesuffix(end)]
 
 
 def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_parsed` of the non-empty lines of each block of `_csv_lines(fh)`.
-    A malformed row raises numpy's ValueError, which names the row by its
-    index in the whole body; a line too long to carry raises its own."""
+    """`_parsed` of the non-empty lines of each block that `_pieces` splits
+    the CSV body in fh into at newlines.  A malformed row raises numpy's
+    ValueError, which names the row by its index in the whole body; a line
+    too long to carry raises its own."""
     body = fh.tell()
-    # _csv_lines runs outside the try: the whole-body parse would hold the
-    # line it refuses
-    for lines in _csv_lines(fh):
+    # _pieces runs outside the try: the whole-body parse would hold the line
+    # it refuses
+    for lines in _pieces(fh, fh.read(_READ_BYTES), "\n", "row"):
         try:
             yield from _parsed([list(filter(None, lines))], str)
         except ValueError:
@@ -447,31 +446,23 @@ def _json_row(point: str) -> str:
     return ",".join(match.groups())
 
 
-def _json_document(fh: TextIO) -> tuple[int, int, Iterator[list[str]]]:
-    """q_max, k_grid and the blocks of point texts of a `to_json` document,
-    whose head must lie in its first _READ_BYTES."""
+def _json_points(fh: TextIO) -> tuple[int, int, Iterable[list[str]]]:
+    """q_max, k_grid and the blocks of point texts between `{` and `}` of a
+    `to_json` document, whose head must lie in its first _READ_BYTES: the
+    body after the head is `]}`, or `{`, the points joined by `}, {`, and
+    `}]}`, which `_pieces` splits and ends."""
     text = fh.read(_READ_BYTES)
     head = _JSON_HEAD.match(text)
     if head is None:
         raise ValueError("malformed butterfly JSON: expected the head "
                          '{"q_max": Q, "k_grid": K, "points": [')
-    return int(head[1]), int(head[2]), _json_points(fh, text[head.end():])
-
-
-def _json_points(fh: TextIO, text: str) -> Iterator[list[str]]:
-    """Blocks of the point texts between `{` and `}` of a `to_json` body
-    that starts with text and goes on in fh, split by `_pieces`: the body
-    is `]}`, or `{`, the points joined by `}, {`, and `}]}`."""
-    text += fh.read(2)  # the first read may end within two bytes of the head
-    if text == "]}" and not fh.read(1):
-        return
-    if text[:1] != "{":
-        raise ValueError(f"malformed butterfly point {text[:80]!r}")
-    last = yield from _pieces(fh, text[1:], "}, {", "point")
-    if not last.endswith("}]}"):
-        raise ValueError(f"malformed butterfly JSON: expected '}}]}}' at the end, "
-                         f"got {last[-80:]!r}")
-    yield [last[:-3]]
+    # the first read may end within two bytes of the head
+    body = text[head.end():] + fh.read(2)
+    if body == "]}" and not fh.read(1):
+        return int(head[1]), int(head[2]), []
+    if body[:1] != "{":
+        raise ValueError(f"malformed butterfly point {body[:80]!r}")
+    return int(head[1]), int(head[2]), _pieces(fh, body[1:], "}, {", "point", "}]}")
 
 
 def _rows(entries: list[tuple[int, int, np.ndarray]], head: str,
@@ -507,7 +498,8 @@ class ButterflyDataset:
     _COMPARE_CHUNK samples: within a pass the samples fall into runs of
     equal bits, and each run's row is formatted once and repeated.  Both
     readers split their text with `_pieces`, _READ_BYTES characters at a
-    time, refusing a line or point longer than that, parse only the first
+    time, refusing a line or point longer than that and a JSON body that
+    does not end in `}]}`, parse only the first
     of each run of equal lines or points in `_parsed`, and group the
     records by flux in `_group_by_flux`.
     """
@@ -567,12 +559,12 @@ class ButterflyDataset:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ButterflyDataset":
-        """Read the layout `to_json` writes through `_json_document`, holding
+        """Read the layout `to_json` writes through `_json_points`, holding
         one block of points at a time; points of a flux may be interleaved
         with others.  Any other layout (other whitespace or key order, extra
         keys) or a malformed point raises ValueError."""
         with open(path) as fh:
-            q_max, k_grid, points = _json_document(fh)
+            q_max, k_grid, points = _json_points(fh)
             return cls(q_max, k_grid, _group_by_flux(_parsed(points, _json_row)))
 
     def symmetry_report(self) -> dict:

@@ -257,6 +257,13 @@ class TestLandau:
         assert error.startswith("fluxlattice: error: invalid parameters")
         assert error.endswith(f"overflow the float range of {name}")
 
+    def test_the_finest_printable_spacing_passes(self, capsys):
+        # |r|/m = 1e-7, the smallest spacing cmd_landau accepts
+        code, out, _ = run(capsys, "landau", "--r=1e-7", "--n-max", "8")
+        assert code == 0 and "FAIL" not in out
+        assert out.splitlines()[-1] == ("lowest levels: 0.00000005, 0.00000015, "
+                                        "0.00000025, 0.00000035")
+
     def test_unit_parameters_still_pass(self):
         proc = run_module("landau", "--r", "1", "--m", "1", "--n-max", "8")
         assert proc.returncode == 0 and proc.stderr == ""
@@ -327,6 +334,7 @@ INVALID_INPUTS = [
     (["landau", "--r", "1", "--m", "1e-320"], None),
     (["landau", "--r", "1e308", "--m", "1e-308"], None),
     (["landau", "--r", "1e-320"], None),
+    (["landau", "--r=1e-12"], None),
 ] + [(argv + ["--out", _MISSING], None) for argv in _EVERY_COMMAND]
 
 

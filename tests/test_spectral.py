@@ -335,6 +335,90 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def harper_power(k):
+    """H^k in the algebra, from k - 1 exact products."""
+    power = harper_element()
+    for _ in range(k - 1):
+        power = multiply(power, harper_element())
+    return power
+
+
+def bloch_trace(power, num, q):
+    """The trace q tau(power) of power's Bloch matrix at flux num/q and every
+    momentum: tau is the identity word's coefficient, each exact phase taken
+    at theta = 2 pi num/q.  A word q1^a q2^b has trace 0 unless q divides a
+    and b, so None when a word other than the identity does."""
+    tau = 0
+    for c, mono in power.terms():
+        _j1, _j2, a, b = mono.exponents
+        if mono.exponents == (0, 0, 0, 0):
+            tau += c * mono.phase.evaluate(TWO_PI * num / q)
+        elif a % q == b % q == 0:
+            return None
+    return q * tau
+
+
+def trace_miss(samples, k, trace, k_grid):
+    """|sum of samples^k - k_grid^2 trace| for one flux's samples, which hold
+    every eigenvalue at each of k_grid^2 momenta, and its tolerance.
+
+    LAPACK's eigenvalues are within about q eps ||H|| of the exact ones,
+    and ||H|| <= 4 (four unitary hops), so each |E| <= 4 and E^k moves by at
+    most k q 4^k eps; the n = k_grid^2 q samples move the sum by n k q 4^k
+    eps.  Rounding the powers, their pairwise sum and tau adds at most
+    (k + log2 n) n 4^k eps."""
+    n = samples.size
+    q = n // k_grid**2
+    tol = (k * q + k + math.log2(n)) * n * 4.0**k * np.finfo(float).eps
+    return abs(np.sum(samples**k) - k_grid**2 * trace), tol
+
+
+class TestTraceIdentities:
+    """Samples read back from both formats obey the exact traces of the
+    algebra, Sum_samples E^k = K^2 q tau(H^k), at every flux where no other
+    word of H^k has both q-exponents divisible by q, with no reference
+    solve."""
+
+    K = 8
+
+    @pytest.fixture(scope="class")
+    def read_back(self, tmp_path_factory):
+        ds = butterfly(12, self.K)
+        work = tmp_path_factory.mktemp("traces")
+        ds.to_csv(work / "b.csv")
+        ds.to_json(work / "b.json")
+        return {"csv": ButterflyDataset.from_csv(work / "b.csv", 12, self.K),
+                "json": ButterflyDataset.from_json(work / "b.json")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("k,checked", [
+        (2, set(range(3, 13))),
+        # decided on the words of H^k, not by q > k: 3 passes at k = 4 (its
+        # q1^3 q2 has b = 1) and 5 at k = 6, while q1^4 drops 4 at both
+        (4, {3, *range(5, 13)}),
+        (6, {5, *range(7, 13)}),
+    ])
+    def test_round_tripped_samples_obey_the_traces(self, read_back, fmt, k, checked):
+        power = harper_power(k)
+        seen = set()
+        for num, q, samples in read_back[fmt].entries:
+            trace = bloch_trace(power, num, q)
+            if trace is not None:
+                miss, tol = trace_miss(samples, k, trace, self.K)
+                assert miss <= tol, (num, q, k, miss, tol)
+                seen.add(q)
+        assert seen == checked
+
+    def test_another_fluxs_trace_is_missed(self, read_back):
+        # negative control: tau(H^4) = 28 + 8 cos(2 pi Phi), so the 1/5
+        # samples miss the 2/5 trace by 8 q K^2 (cos 2pi/5 - cos 4pi/5)
+        [samples] = [s for n, q, s in read_back["json"].entries if (n, q) == (1, 5)]
+        miss, tol = trace_miss(samples, 4, bloch_trace(harper_power(4), 2, 5), self.K)
+        expected = 8 * 5 * self.K**2 * (math.cos(TWO_PI / 5) - math.cos(2 * TWO_PI / 5))
+        assert miss > tol
+        assert abs(miss - expected) <= tol
+
+
 class TestGoldenFiles:
     """butterfly(3, 4) as the serializers wrote it before the readers were
     merged; every writer and reader must reproduce it byte for byte."""
@@ -962,7 +1046,14 @@ class TestJsonReader:
         THREE_POINTS[:-3] + "]}",
         THREE_POINTS.replace("[{", "[", 1),
         THREE_POINTS.replace("0.5}, {", "0.5, {"),
-    ], ids=["last-without-brace", "first-without-brace", "middle-without-brace"])
+        THREE_POINTS[:-1],
+        THREE_POINTS[:-2],
+        THREE_POINTS[:-3],  # its last point alone is well formed
+        '{"q_max": 2, "k_grid": 4, "points": []}'[:-1],
+        '{"q_max": 2, "k_grid": 4, "points": []}'[:-2],
+    ], ids=["last-without-brace", "first-without-brace", "middle-without-brace",
+            "cut-by-one", "cut-by-two", "cut-by-three",
+            "no-points-cut-by-one", "no-points-cut-by-two"])
     def test_broken_framing_raises(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
