@@ -152,13 +152,12 @@ def _validate_fraction(num: int, den: int) -> None:
 
 
 def _bloch_builder(nums: Sequence[int], q: int
-                   ) -> Callable[[int | np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-                                 np.ndarray]:
+                   ) -> Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """build(which, k1, k2, out) for Bloch stacks at denominator q: it fills
     the C-contiguous out, of shape (len(k1), q, q), with one matrix per row
     i and returns it, _HAMILTONIAN in the representation q1 -> S, q2 -> D at
-    flux nums[which[i]]/q and momenta (k1[i], k2[i]); which may be one index
-    for every row.  S sends site m to m - 1 and closes the cycle with
+    flux nums[which[i]]/q and momenta (k1[i], k2[i]), of three arrays with a
+    row each.  S sends site m to m - 1 and closes the cycle with
     e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so S D S^-1 D^-1 = e^{-i th} as
     in `algebra`.  A term c * phase * q1^a q2^b adds c * phase(th) * S^a D^b:
     column m lands in row m - a - w q, times e^{-i(b (k2 + th m) + w q k1)},
@@ -186,15 +185,13 @@ def _bloch_builder(nums: Sequence[int], q: int
                 runs.append((value, b, w, slice(lo, hi),
                              slice(start, start + (hi - lo - 1) * (q + 1) + 1, q + 1)))
 
-    def build(which: int | np.ndarray, k1: np.ndarray, k2: np.ndarray,
+    def build(which: np.ndarray, k1: np.ndarray, k2: np.ndarray,
               out: np.ndarray) -> np.ndarray:
         angle, qk1 = k2[:, None] + turns[which], q * k1[:, None]
         out[...] = 0
         flat = out.reshape(len(out), q * q)  # a view of out
         for value, b, w, cols, at in runs:
-            # (1, 1) for one index: numpy multiplies a (1,) operand into one
-            # column through another loop, which can move the last bit
-            v = np.reshape(value[which], (-1, 1))
+            v = value[which][:, None]
             flat[:, at] += v * np.exp(-1j * (b * angle[:, cols] + w * qk1)) if b or w else v
         return out
     return build
@@ -225,18 +222,19 @@ class SpectrumEstimate:
 
 
 def _solve_points(nums: Sequence[int], den: int, n: int,
-                  momenta: Callable[[np.ndarray], tuple[int | np.ndarray, np.ndarray,
+                  momenta: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
                                                         np.ndarray]]) -> np.ndarray:
     """Eigenvalues of the n Bloch matrices at the numerator indices and
-    momenta (which, k1, k2) = momenta(i) of the point indices i = 0 .. n - 1,
-    each at flux nums[which]/den, solved in chunks of _chunk_length(den)
-    matrices into one (n, den) array: each chunk asks for its own momenta,
-    so no array of n momenta is held, and every chunk is built by one
-    _bloch_builder.  Lane i solves chunks i, i + lanes, ... in order, lane 0
-    in the calling thread and the others on threads started only when there
-    is more than one chunk; every lane builds its chunks in one buffer,
-    since a fresh array per chunk can leave the allocator holding two.  All
-    lanes are joined before the first exception of any lane is raised."""
+    momenta (which, k1, k2) = momenta(i), three arrays as long as i, of the
+    point indices i = 0 .. n - 1, each at flux nums[which]/den, solved in
+    chunks of _chunk_length(den) matrices into one (n, den) array: each
+    chunk asks for its own momenta, so no array of n momenta is held, and
+    every chunk is built by one _bloch_builder.  Lane i solves chunks i,
+    i + lanes, ... in order, lane 0 in the calling thread and the others on
+    threads started only when there is more than one chunk; every lane
+    builds its chunks in one buffer, since a fresh array per chunk can leave
+    the allocator holding two.  All lanes are joined before the first
+    exception of any lane is raised."""
     build = _bloch_builder(nums, den)
     step = _chunk_length(den)
     starts = range(0, n, step)
@@ -304,7 +302,7 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
     _require_held([(den, 1, n)], k_grid, "the spectrum")
     # one k1 representative per residue class, each solved once
     ks = TWO_PI * np.arange(k_grid) / k_grid
-    eigs = _solve_points([num], den, n, lambda i: (0, ks[i // k_grid], ks[i % k_grid]))
+    eigs = _solve_points([num], den, n, lambda i: (0 * i, ks[i // k_grid], ks[i % k_grid]))
     # each row is ascending, so band j's bottom and top never fall as j grows:
     # band j starts a merged band unless it overlaps the top of band j - 1
     lo, hi = eigs.min(axis=0).tolist(), eigs.max(axis=0).tolist()
@@ -372,17 +370,15 @@ def _expand(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 _READ_BYTES = 1 << 16
 
 
-def _parsed(blocks: Iterable[list[str]], row: Callable[[str], str]
-            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(`_ROW` records, run lengths) of each non-empty block of strings: of
+def _parsed(block: list[str], row: Callable[[str], str]) -> tuple[np.ndarray, np.ndarray]:
+    """(`_ROW` records, run lengths) of one non-empty block of strings: of
     each run of equal consecutive strings only row(first string), a CSV
     row, is parsed, by np.loadtxt, since equal strings give equal bits."""
-    for block in filter(None, blocks):
-        strings = np.array(block, dtype=object)
-        cuts = np.flatnonzero(np.concatenate(([True], strings[1:] != strings[:-1])))
-        records = np.loadtxt([row(s) for s in strings[cuts].tolist()], dtype=_ROW,
-                             delimiter=",", comments=None, ndmin=1)
-        yield records, np.diff(cuts, append=strings.size)
+    strings = np.array(block, dtype=object)
+    cuts = np.flatnonzero(np.concatenate(([True], strings[1:] != strings[:-1])))
+    records = np.loadtxt([row(s) for s in strings[cuts].tolist()], dtype=_ROW,
+                         delimiter=",", comments=None, ndmin=1)
+    return records, np.diff(cuts, append=strings.size)
 
 
 def _pieces(fh: TextIO, text: str, sep: str, what: str, end: str = ""
@@ -409,15 +405,17 @@ def _pieces(fh: TextIO, text: str, sep: str, what: str, end: str = ""
 
 def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`_parsed` of the non-empty lines of each block that `_pieces` splits
-    the CSV body in fh into at newlines.  A malformed row raises numpy's
-    ValueError, which names the row by its index in the whole body; a line
-    too long to carry raises its own."""
+    the CSV body in fh into at newlines, one pair a block that holds any.
+    A malformed row raises numpy's ValueError, which names the row by its
+    index in the whole body; a line too long to carry raises its own."""
     body = fh.tell()
     # _pieces runs outside the try: the whole-body parse would hold the line
     # it refuses
     for lines in _pieces(fh, fh.read(_READ_BYTES), "\n", "row"):
+        rows = list(filter(None, lines))
         try:
-            yield from _parsed([list(filter(None, lines))], str)
+            if rows:
+                yield _parsed(rows, str)
         except ValueError:
             # numpy counts the rows of what it is given; parse the whole body
             # so that the message names the row in the file
@@ -499,9 +497,9 @@ class ButterflyDataset:
     equal bits, and each run's row is formatted once and repeated.  Both
     readers split their text with `_pieces`, _READ_BYTES characters at a
     time, refusing a line or point longer than that and a JSON body that
-    does not end in `}]}`, parse only the first
-    of each run of equal lines or points in `_parsed`, and group the
-    records by flux in `_group_by_flux`.
+    does not end in `}]}`, parse each block of non-empty lines or points in
+    one `_parsed` call, which parses only the first of each run of equal
+    ones, and group the records by flux in `_group_by_flux`.
     """
 
     q_max: int
@@ -565,7 +563,7 @@ class ButterflyDataset:
         keys) or a malformed point raises ValueError."""
         with open(path) as fh:
             q_max, k_grid, points = _json_points(fh)
-            return cls(q_max, k_grid, _group_by_flux(_parsed(points, _json_row)))
+            return cls(q_max, k_grid, _group_by_flux(_parsed(b, _json_row) for b in points))
 
     def symmetry_report(self) -> dict:
         """Deviations from the Phi -> 1 - Phi and E -> -E symmetries, each
@@ -617,7 +615,10 @@ def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two sorted sample sets on the line, each
     compared against the other _COMPARE_CHUNK samples at a time; NaN if
-    either set holds a NaN, in either argument order."""
+    either set holds a NaN, and ValueError if either is empty."""
+    if a.size == 0 or b.size == 0:
+        raise ValueError("hausdorff_distance needs two non-empty sample sets, "
+                         f"got sizes {a.size} and {b.size}")
     def directed(x: np.ndarray, y: np.ndarray) -> float:
         worst = []
         for lo in range(0, x.size, _COMPARE_CHUNK):

@@ -44,7 +44,8 @@ def random_reduced_fraction(q_max=12):
 
 def bloch_stack(nu, q, k1, k2):
     """The Bloch stack at momenta (k1[i], k2[i]), built in a fresh buffer."""
-    return spectral._bloch_builder([nu], q)(0, k1, k2, np.empty((len(k1), q, q), dtype=complex))
+    return spectral._bloch_builder([nu], q)(np.zeros(len(k1), int), k1, k2,
+                                            np.empty((len(k1), q, q), dtype=complex))
 
 
 def bloch_at(nu, q, k1, k2):
@@ -1547,7 +1548,7 @@ class TestLanes:
 
         def momenta(i):
             solved.append((lane_of_this_thread(), i))
-            return 0, ks[i // 8], ks[i % 8]
+            return 0 * i, ks[i // 8], ks[i % 8]
         eigs = spectral._solve_points([1], 3, 40, momenta)
         points = np.concatenate([i for _lane, i in solved])
         assert np.array_equal(np.sort(points), np.arange(40))
@@ -1707,8 +1708,9 @@ class TestHausdorff:
             a = np.sort(gen.uniform(-4, 4, size_a))
             b = np.sort(gen.uniform(-4, 4, size_b))
             assert hausdorff_distance(a, b) == max(whole(a, b), whole(b, a))
-        with pytest.raises(ValueError):
-            hausdorff_distance(np.array([]), np.array([1.0]))
+        for empty in ([], [1.0]), ([1.0], []), ([], []):
+            with pytest.raises(ValueError):
+                hausdorff_distance(*map(np.array, empty))
 
     def test_comparison_temporaries_are_bounded(self):
         # 10**6 samples a side; compared whole, the temporaries were 48 MB
