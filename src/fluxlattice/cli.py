@@ -22,6 +22,7 @@ from . import operators as ops_mod
 from . import spectral as spectral_mod
 from .algebra import derive_invariant_basis
 from .phases import Flux, classify
+from .reporting import RelationReport
 
 
 def _emit(payload: dict, text: str, fmt: str, out_path: str | None) -> None:
@@ -119,11 +120,10 @@ def cmd_butterfly(args) -> int:
     status = 0
     if args.check:
         report = dataset.symmetry_report()
-        print(f"symmetry check: flux reflection deviation "
-              f"{report['flux_reflection_deviation']:.3e}, energy negation "
-              f"deviation {report['energy_negation_deviation']:.3e}")
-        if not report["symmetric"]:
-            status = 1
+        flux, energy = report.checks
+        print(f"symmetry check: flux reflection deviation {flux.value:.3e}, "
+              f"energy negation deviation {energy.value:.3e}")
+        status = 0 if report.all_pass else 1
     print(summary)
     return status
 
@@ -139,21 +139,20 @@ def cmd_landau(args) -> int:
     if args.n_max < 8:
         print(f"warning: n_max={args.n_max} leaves almost no interior block; "
               f"expect truncation artifacts", file=sys.stderr)
-    brackets = landau_mod.bracket_report(ops)
-    motion = landau_mod.lorentz_check(ops)
+    report = RelationReport(landau_mod.bracket_report(ops).checks
+                            + landau_mod.lorentz_check(ops).checks)
     n_levels = min(4, ops.n_max // 2)
     levels = landau_mod.hamiltonian_spectrum(ops, n_levels)
-    ok = brackets.all_pass and motion.all_pass
     payload = {
         "r": args.r, "m": args.m, "n_max": args.n_max,
-        "all_pass": ok,
-        "relations": brackets.to_json_dict() + motion.to_json_dict(),
+        "all_pass": report.all_pass,
+        "relations": report.to_json_dict(),
         "lowest_levels": [float(v) for v in levels],
     }
-    text = (brackets.to_text() + "\n" + motion.to_text() + "\n"
+    text = (report.to_text() + "\n"
             + "lowest levels: " + ", ".join(f"{v:.8f}" for v in levels))
     _emit(payload, text, args.format, args.out)
-    return 0 if ok else 1
+    return 0 if report.all_pass else 1
 
 
 def cmd_gauge_check(args) -> int:

@@ -225,7 +225,7 @@ def _lorentz_residuals(ops: LandauOperators) -> list[tuple[str, float, float, st
 
 
 def _report(ops: LandauOperators, residuals_of, tol: float) -> RelationReport:
-    """The residuals as checks within tol of their scales.  Finite operators
+    """The residuals as measured checks, each held to tol times its scale.  Finite operators
     can still overflow a product or a norm; a residual or scale past the
     float range refuses the parameters instead of deciding a check."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -235,8 +235,8 @@ def _report(ops: LandauOperators, residuals_of, tol: float) -> RelationReport:
         if not (math.isfinite(residual) and math.isfinite(scale)):
             raise ValueError(f"invalid parameters: r={ops.r} and m={ops.mass} "
                              f"overflow the float range of {name}")
-        report.add(name, residual <= tol * scale, None,
-                   f"{detail}, interior residual {residual:.3e}")
+        report.measure(name, residual, tol * scale,
+                       f"{detail}, interior residual {residual:.3e}")
     return report
 
 

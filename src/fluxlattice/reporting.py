@@ -1,4 +1,5 @@
-"""Line-oriented pass/fail reports shared by the relation and Landau checks,
+"""Line-oriented pass/fail reports of exact and measured checks, where
+`RelationReport.measure` alone decides a measured value against its bound,
 and the one allocation budget, ALLOCATION_BUDGET_BYTES, that every module
 checks through require_allocation before it builds a large array."""
 
@@ -21,12 +22,15 @@ def require_allocation(nbytes: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class RelationCheck:
-    """One named check: whether it holds, a site witnessing a failure, detail."""
+    """One named check: whether it holds, a site witnessing a failure,
+    detail, and a measured check's value and bound (None when exact)."""
 
     name: str
     holds: bool
     witness_site: tuple | None = None
     detail: str = ""
+    value: float | None = None
+    bound: float | None = None
 
 
 @dataclass
@@ -36,8 +40,12 @@ class RelationReport:
     checks: list[RelationCheck] = field(default_factory=list)
 
     def add(self, name: str, holds: bool, witness_site: tuple | None = None,
-            detail: str = "") -> None:
-        self.checks.append(RelationCheck(name, holds, witness_site, detail))
+            detail: str = "", value: float | None = None, bound: float | None = None) -> None:
+        self.checks.append(RelationCheck(name, holds, witness_site, detail, value, bound))
+
+    def measure(self, name: str, value: float, bound: float, detail: str) -> None:
+        """Add a measured check, which holds when value <= bound; NaN fails."""
+        self.add(name, bool(value <= bound), None, detail, value, bound)
 
     @property
     def all_pass(self) -> bool:

@@ -60,7 +60,7 @@ import numpy as np
 
 from .algebra import harper_element
 from .phases import TWO_PI, Flux
-from .reporting import require_allocation
+from .reporting import RelationReport, require_allocation
 
 __all__ = [
     "SpectrumEstimate",
@@ -405,23 +405,26 @@ def _pieces(fh: TextIO, text: str, sep: str, what: str, end: str = ""
 
 def _csv_records(fh: TextIO) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`_parsed` of the non-empty lines of each block that `_pieces` splits
-    the CSV body in fh into at newlines, one pair a block that holds any.
-    A malformed row raises numpy's ValueError, which names the row by its
-    index in the whole body; a line too long to carry raises its own."""
-    body = fh.tell()
-    # _pieces runs outside the try: the whole-body parse would hold the line
-    # it refuses
+    the CSV body in fh into at newlines, one pair a block that holds any.  A
+    block that fails is parsed again a line at a time, and its first
+    malformed row raises its own message with its line number, the header
+    being line 1; a line too long to carry raises its own."""
+    lineno = 2
     for lines in _pieces(fh, fh.read(_READ_BYTES), "\n", "row"):
         rows = list(filter(None, lines))
         try:
             if rows:
                 yield _parsed(rows, str)
         except ValueError:
-            # numpy counts the rows of what it is given; parse the whole body
-            # so that the message names the row in the file
-            fh.seek(body)
-            np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            for n, text in enumerate(lines, lineno):
+                try:
+                    if text:
+                        _parsed([text], str)
+                except ValueError:
+                    raise ValueError(f"malformed butterfly row on line {n}: "
+                                     f"{text[:80]!r}") from None
             raise
+        lineno += len(lines)
 
 
 _CSV_HEADER = "phi_num,phi_den,energy"
@@ -499,7 +502,8 @@ class ButterflyDataset:
     time, refusing a line or point longer than that and a JSON body that
     does not end in `}]}`, parse each block of non-empty lines or points in
     one `_parsed` call, which parses only the first of each run of equal
-    ones, and group the records by flux in `_group_by_flux`.
+    ones, and group the records by flux in `_group_by_flux`.  A malformed
+    CSV row is named by its line in the file, found within its block.
     """
 
     q_max: int
@@ -565,10 +569,11 @@ class ButterflyDataset:
             q_max, k_grid, points = _json_points(fh)
             return cls(q_max, k_grid, _group_by_flux(_parsed(b, _json_row) for b in points))
 
-    def symmetry_report(self) -> dict:
-        """Deviations from the Phi -> 1 - Phi and E -> -E symmetries, each
-        within SYMMETRY_TOLERANCE for a symmetric dataset; a NaN sample makes
-        both deviations NaN, so the dataset is not symmetric."""
+    def symmetry_report(self) -> RelationReport:
+        """The Phi -> 1 - Phi and E -> -E symmetries as two measured checks,
+        `flux_reflection` and `energy_negation`, whose values are the largest
+        deviations, held to SYMMETRY_TOLERANCE; a NaN sample makes both
+        values NaN, so both checks fail."""
         table = {(n, d): s for n, d, s in self.entries}
         flux_dev = energy_dev = 0.0
         for (n, d), samples in table.items():
@@ -580,13 +585,10 @@ class ButterflyDataset:
             flux_dev = float(np.maximum(flux_dev, np.max(np.abs(samples - partner))))
             energy_dev = float(np.maximum(energy_dev,
                                           np.max(np.abs(samples + samples[::-1]))))
-        return {
-            "flux_reflection_deviation": flux_dev,
-            "energy_negation_deviation": energy_dev,
-            "symmetric": (flux_dev <= SYMMETRY_TOLERANCE
-                          and energy_dev <= SYMMETRY_TOLERANCE),
-            "tolerance": SYMMETRY_TOLERANCE,
-        }
+        report = RelationReport()
+        report.measure("flux_reflection", flux_dev, SYMMETRY_TOLERANCE, "Phi -> 1 - Phi")
+        report.measure("energy_negation", energy_dev, SYMMETRY_TOLERANCE, "E -> -E")
+        return report
 
 
 def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:

@@ -144,11 +144,12 @@ def test_06_butterfly_dataset():
              if math.gcd(nu, q) == 1}
     counts_ok = (len(fl.butterfly(10, 8).entries) == len(farey) == 32
                  and sum(1 for f in farey if f != 0) == 31)
-    ok = deterministic and sym["symmetric"] and counts_ok
+    ok = deterministic and sym.all_pass and counts_ok
+    flux, energy = sym.checks
     report("6 butterfly dataset", ok, time.time() - t0, 120.0,
            f"{ds.n_rows()} rows at q_max=30, k_grid=40; deterministic; "
-           f"reflection dev {sym['flux_reflection_deviation']:.1e}, negation "
-           f"dev {sym['energy_negation_deviation']:.1e}; 31 nonzero fluxes at "
+           f"reflection dev {flux.value:.1e}, negation "
+           f"dev {energy.value:.1e}; 31 nonzero fluxes at "
            f"q_max=10")
 
 

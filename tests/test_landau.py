@@ -334,8 +334,7 @@ def full_space_residuals(ops):
 
 
 def factor_residuals(ops):
-    rows = landau._bracket_residuals(ops) + landau._lorentz_residuals(ops)
-    return {name: residual for name, residual, _scale, _ in rows}
+    return {c.name: c.value for c in bracket_report(ops).checks + lorentz_check(ops).checks}
 
 
 CROSS_CHECK_PARAMS = [(1.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-2.0, 0.5), (1.7, 0.3)]
@@ -388,8 +387,11 @@ class TestNegativeControl:
             "negated_r at r=1e-12", "negated_y at r=1e-12"])
     def test_corrupted_factors_fail(self, corrupt, r):
         ops = corrupt(build_landau(r, 1.0, 12))
-        assert not bracket_report(ops).all_pass
-        assert not lorentz_check(ops).all_pass
+        for report in (bracket_report(ops), lorentz_check(ops)):
+            failed = [c for c in report.checks if not c.holds]
+            assert failed, report.to_text()
+            # a failed measured check keeps the figure it was refused for
+            assert all(c.value > c.bound for c in failed), report.to_text()
         # the factor residuals still measure what the assembled space shows
         factor, full = factor_residuals(ops), full_space_residuals(ops)
         for name in full:

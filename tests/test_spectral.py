@@ -275,18 +275,30 @@ class TestButterfly:
 
     def test_symmetries(self):
         report = butterfly(10, 12).symmetry_report()
-        assert report["symmetric"]
-        assert report["flux_reflection_deviation"] < 1e-9
-        assert report["energy_negation_deviation"] < 1e-9
+        flux, energy = report.checks
+        assert report.all_pass
+        assert flux.value < 1e-9
+        assert energy.value < 1e-9
 
     def test_symmetry_report_keeps_a_nan_deviation(self):
         # a NaN must survive the running maximum: Python's max(0.0, nan) is 0.0
         ds = butterfly(3, 4)
         {(n, d): s for n, d, s in ds.entries}[1, 3][5] = np.nan
         report = ds.symmetry_report()
-        assert math.isnan(report["flux_reflection_deviation"])
-        assert math.isnan(report["energy_negation_deviation"])
-        assert report["symmetric"] is False
+        flux, energy = report.checks
+        assert math.isnan(flux.value)
+        assert math.isnan(energy.value)
+        assert report.all_pass is False
+
+    def test_an_asymmetric_dataset_fails_both_measured_checks(self):
+        # negative control: lift the samples of 1/3 off those of its reflection 2/3
+        ds = butterfly(4, 8)
+        lifted = [(n, d, s + 1e-6 if (n, d) == (1, 3) else s) for n, d, s in ds.entries]
+        report = ButterflyDataset(4, 8, lifted).symmetry_report()
+        assert [c.name for c in report.checks] == ["flux_reflection", "energy_negation"]
+        for check in report.checks:
+            assert check.holds is False
+            assert check.value > check.bound == spectral.SYMMETRY_TOLERANCE
 
     def test_symmetry_report_names_a_missing_reflection(self):
         # as read from a partial file
@@ -925,26 +937,38 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("body,message", [
         ("0,1,0.5\n0,1,0.5\n0,1,0.5\n0,1,abc\n",
-         "could not convert string 'abc' to float64 at row 3, column 3."),
+         "malformed butterfly row on line 5: '0,1,abc'"),
         ("0,1,0.5\n\n0,1,0.5,7\n",
-         "the dtype passed requires 3 columns but 4 were found at row 2; "
-         "use `usecols` to select a subset and avoid this error"),
+         "malformed butterfly row on line 4: '0,1,0.5,7'"),
         ("0,1,0.5\n   \n0,1,0.5\n",
-         "the dtype passed requires 3 columns but 1 were found at row 2; "
-         "use `usecols` to select a subset and avoid this error"),
+         "malformed butterfly row on line 3: '   '"),
         ("0,1,0.5\n" * 20_000 + "\n0,1,0.25\n1,2\n",
-         "the dtype passed requires 3 columns but 2 were found at row 20002; "
-         "use `usecols` to select a subset and avoid this error"),
+         "malformed butterfly row on line 20004: '1,2'"),
     ], ids=["energy-after-a-run", "long-after-an-empty-line", "whitespace-line",
             "short-in-a-later-block"])
-    def test_malformed_rows_keep_numpys_message(self, tmp_path, body, message):
-        # numpy names the row by its index in the whole body, empty lines
-        # included, as when it parsed every line
+    def test_malformed_rows_name_their_line(self, tmp_path, body, message):
+        # lines are counted in the file, the header's being line 1, empty
+        # lines and earlier blocks included
         path = tmp_path / "bad.csv"
         path.write_text(self.HEADER + body)
         with pytest.raises(ValueError) as err:
             ButterflyDataset.from_csv(path)
         assert str(err.value) == message
+
+    def test_a_malformed_last_row_is_refused_within_its_block(self, tmp_path):
+        # a reader that parsed the whole body again to number the row would
+        # hold a record for every row before it
+        path = tmp_path / "bad-last.csv"
+        rows = 2 * 10**5
+        path.write_text(self.HEADER + "0,1,0.5\n" * rows + "1,2\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"on line {rows + 2}: '1,2'$"):
+                ButterflyDataset.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * spectral._READ_BYTES, peak
 
     def test_each_run_of_equal_lines_is_parsed_once(self, tmp_path, monkeypatch):
         ds = butterfly(12, 24)
