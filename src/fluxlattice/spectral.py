@@ -14,14 +14,16 @@ Its eigenvalues depend on (k1, k2) only through cos(q k1) + cos(q k2)
 (Chambers, Phys. Rev. 140, A135 (1965)).  On the grid k = 2*pi*j/k_grid,
 cos(q k) depends only on the residue q*j mod k_grid folded under
 r <-> k_grid - r, so `butterfly` solves one matrix per unordered pair of
-folded residues, at (k1, k2) = 2*pi*(f1, f2)/(q*k_grid), and repeats its
-eigenvalues by the pair's number of grid points.  The classes depend on q
-alone, so the sweep solves every reduced nu/q of a denominator as one
-stack, row by row at its own numerator, and splits the eigenvalues back
-into fluxes.  The samples agree with the per-point solve to about 5e-14,
-not bit for bit.  `spectrum` keeps the per-point solve: its band edges are
-grid extrema, and at even q the two central bands touch within about
-1e-15, so whether they merge rests on those last bits.
+folded residues and repeats its eigenvalues by the pair's number of grid
+points.  It solves each class at its real representative (_class_momenta),
+where the matrix is real symmetric, as a float64 stack, which LAPACK solves
+about twice as fast as a complex one.  The classes depend on q alone, so
+the sweep solves every reduced nu/q of a denominator as one stack, row by
+row at its own numerator, and splits the eigenvalues back into fluxes.
+The samples agree with the per-point solve to about 5e-14, not bit for
+bit.  `spectrum` keeps the complex per-point solve: its band edges are grid
+extrema, and at even q the two central bands touch within about 1e-15, so
+whether they merge rests on those last bits.
 
 A stack is built by a _bloch_builder, which prepares each term of the
 Hamiltonian once per denominator and exponentiates only the entries whose
@@ -39,8 +41,9 @@ returned flux's samples stay held, plus the largest transient of one
 stack's solve (its eigenvalues, unless they are the samples, and every
 lane's chunk of matrices) and a fixed slack, against
 reporting.ALLOCATION_BUDGET_BYTES.  A matrix costs the chunk and the rule
-the same _matrix_bytes(q), its 16 q^2 bytes of entries and its row
-temporaries.  The budget bounds memory, not run time.
+the same _matrix_bytes(q, dtype), its 16 q^2 bytes of complex entries or 8
+q^2 of real ones, and its row temporaries.  The budget bounds memory, not
+run time.
 """
 
 from __future__ import annotations
@@ -107,37 +110,41 @@ _LANES = _lane_count(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffin
                      else os.cpu_count() or 1, os.environ)
 
 
-def _matrix_bytes(den: int) -> int:
-    """Bytes a Bloch matrix at denominator den costs: its entries and the row
-    temporaries of a _bloch_builder build, which tracemalloc puts at up to
-    about 64 q."""
-    return 16 * den * den + 64 * den + 64
+def _matrix_bytes(den: int, dtype: type) -> int:
+    """Bytes a Bloch matrix of dtype at denominator den costs: its entries and
+    the row temporaries of a _bloch_builder build.  Its exponentials are
+    complex for a real out too, and tracemalloc puts the temporaries of
+    either at 45-71 q a matrix and about 2 KB a build, for q from 1 to 300
+    and 8 to 64 matrices."""
+    return np.dtype(dtype).itemsize * den * den + 64 * den + 64
 
 
-def _chunk_length(den: int) -> int:
-    """Bloch matrices per lane's chunk at denominator den, at least one."""
-    return max(1, _STACK_CHUNK_BYTES // _LANES // _matrix_bytes(den))
+def _chunk_length(den: int, dtype: type) -> int:
+    """Bloch matrices of dtype per lane's chunk at denominator den, at least
+    one."""
+    return max(1, _STACK_CHUNK_BYTES // _LANES // _matrix_bytes(den, dtype))
 
 
-def _require_held(solves: Iterable[tuple[int, int, int]], k_grid: int, what: str) -> None:
+def _require_held(solves: Iterable[tuple[int, int, int]], k_grid: int, what: str,
+                  dtype: type = complex) -> None:
     """Check k_grid, then refuse at the first q over budget a request whose
     solves (q, fluxes, rows) each return `fluxes` fluxes at denominator q
-    from one stack of `rows` Bloch matrices, so a lazy sweep is never listed
-    whole.  Each flux holds its samples, 128 bytes a band and 512 of objects;
-    on top come the largest solve transient and _SLACK_BYTES.  A solve's
-    transient is its eigenvalues, 8 q bytes a row, unless there are as many
-    rows as sample rows (a spectrum at gcd(q, k_grid) = 1), when they are
-    the samples; and each busy lane's chunk plus one more matrix, at
-    _matrix_bytes each."""
+    from one stack of `rows` Bloch matrices of dtype, so a lazy sweep is
+    never listed whole.  Each flux holds its samples, 128 bytes a band and
+    512 of objects; on top come the largest solve transient and
+    _SLACK_BYTES.  A solve's transient is its eigenvalues, 8 q bytes a row,
+    unless there are as many rows as sample rows (a spectrum at
+    gcd(q, k_grid) = 1), when they are the samples; and each busy lane's
+    chunk plus one more matrix, at _matrix_bytes each."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
     for q, fluxes, rows in solves:
-        step = _chunk_length(q)
+        step = _chunk_length(q, dtype)
         held += fluxes * (8 * q * k_grid * k_grid + 128 * (q + 4))
         eigs = 0 if rows == fluxes * k_grid * k_grid else 8 * q * rows
         transient = max(transient, eigs + min(_LANES, -(-rows // step))
-                        * (min(rows, step) + 1) * _matrix_bytes(q))
+                        * (min(rows, step) + 1) * _matrix_bytes(q, dtype))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
 
@@ -161,7 +168,10 @@ def _bloch_builder(nums: Sequence[int], q: int
     e^{i q k1}; D = diag(e^{-i(k2 + th m)}), so S D S^-1 D^-1 = e^{-i th} as
     in `algebra`.  A term c * phase * q1^a q2^b adds c * phase(th) * S^a D^b:
     column m lands in row m - a - w q, times e^{-i(b (k2 + th m) + w q k1)},
-    for the w = floor((m - a) / q) wraps of its hop.
+    for the w = floor((m - a) / q) wraps of its hop.  A float64 out takes
+    the real part of each term, so it is the real part of the complex
+    stack bit for bit: the matrices themselves where they are real, as at
+    a Chambers class's real representative.
 
     Each term's value c * phase(th) at every numerator, and its one or two
     runs of columns with one w, which fill a stride of the flattened
@@ -169,7 +179,12 @@ def _bloch_builder(nums: Sequence[int], q: int
     can be nonzero, when b != 0 or w != 0; a run with neither takes the
     term's value, which is e^0 times the value but for the sign of a zero
     part, and out, summed from +0, never keeps that sign, so the matrices
-    have the bits of exponentiating every entry."""
+    have the bits of exponentiating every entry.  The first two runs, of
+    q2 and q2^-1, fill the same entries, which out holds at zero, with the
+    negated exponent: the second takes the first's exponential conjugated,
+    which has the bits of exponentiating again, and the two terms are
+    summed before they are added, which keeps the bits of adding them in
+    turn."""
     m = np.arange(q)
     turns = TWO_PI * np.array(nums)[:, None] * m / q  # th m at each numerator
     runs = []
@@ -182,17 +197,28 @@ def _bloch_builder(nums: Sequence[int], q: int
         for lo, hi, w in ((0, a % q, -(a // q) - 1), (a % q, q, -(a // q))):
             if lo < hi:
                 start = (lo - a - w * q) * q + lo  # row m - a - w q, column m
-                runs.append((value, b, w, slice(lo, hi),
-                             slice(start, start + (hi - lo - 1) * (q + 1) + 1, q + 1)))
+                cols = slice(lo, hi)
+                at = slice(start, start + (hi - lo - 1) * (q + 1) + 1, q + 1)
+                if len(runs) == 1 and (b or w) and runs[0][1:5] == (-b, -w, cols, at):
+                    runs[0] = (*runs[0][:5], value)  # the conjugate partner
+                else:
+                    runs.append((value, b, w, cols, at, None))
 
     def build(which: np.ndarray, k1: np.ndarray, k2: np.ndarray,
               out: np.ndarray) -> np.ndarray:
         angle, qk1 = k2[:, None] + turns[which], q * k1[:, None]
+        real = out.dtype == np.float64
         out[...] = 0
         flat = out.reshape(len(out), q * q)  # a view of out
-        for value, b, w, cols, at in runs:
+        for value, b, w, cols, at, partner in runs:
             v = value[which][:, None]
-            flat[:, at] += v * np.exp(-1j * (b * angle[:, cols] + w * qk1)) if b or w else v
+            if b or w:
+                e = np.exp(-1j * (b * angle[:, cols] + w * qk1))
+                v = v * e
+                if partner is not None:
+                    v += np.multiply(np.conjugate(e, out=e), partner[which][:, None], out=e)
+                e = None  # freed before the add into out, which copies v
+            flat[:, at] += v.real if real else v
         return out
     return build
 
@@ -222,25 +248,25 @@ class SpectrumEstimate:
 
 
 def _solve_points(nums: Sequence[int], den: int, n: int,
-                  momenta: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray,
-                                                        np.ndarray]]) -> np.ndarray:
-    """Eigenvalues of the n Bloch matrices at the numerator indices and
-    momenta (which, k1, k2) = momenta(i), three arrays as long as i, of the
-    point indices i = 0 .. n - 1, each at flux nums[which]/den, solved in
-    chunks of _chunk_length(den) matrices into one (n, den) array: each
-    chunk asks for its own momenta, so no array of n momenta is held, and
-    every chunk is built by one _bloch_builder.  Lane i solves chunks i,
+                  momenta: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+                  dtype: type = complex) -> np.ndarray:
+    """Eigenvalues of the n Bloch matrices of dtype at the numerator indices
+    and momenta (which, k1, k2) = momenta(i), three arrays as long as i, of
+    the point indices i = 0 .. n - 1, each at flux nums[which]/den, solved
+    in chunks of _chunk_length(den, dtype) matrices into one (n, den) array:
+    each chunk asks for its own momenta, so no array of n momenta is held,
+    and every chunk is built by one _bloch_builder.  Lane i solves chunks i,
     i + lanes, ... in order, lane 0 in the calling thread and the others on
     threads started only when there is more than one chunk; every lane
     builds its chunks in one buffer, since a fresh array per chunk can leave
     the allocator holding two.  All lanes are joined before the first
     exception of any lane is raised."""
     build = _bloch_builder(nums, den)
-    step = _chunk_length(den)
+    step = _chunk_length(den, dtype)
     starts = range(0, n, step)
     lanes = min(_LANES, len(starts))
     eigs = np.empty((n, den))
-    buffers = [np.empty((min(step, n), den, den), dtype=complex) for _ in range(lanes)]
+    buffers = [np.empty((min(step, n), den, den), dtype=dtype) for _ in range(lanes)]
     errors: list[BaseException | None] = [None] * lanes
 
     def solve(lane: int) -> None:
@@ -290,6 +316,20 @@ def _class_count(den: int, k_grid: int) -> int:
     f = k_grid // g // 2 + 1 values, and f (f + 1) / 2 unordered pairs."""
     f = k_grid // math.gcd(den, k_grid) // 2 + 1
     return f * (f + 1) // 2
+
+
+def _class_momenta(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real representative (k1, k2) of every `_chambers_classes(den,
+    k_grid)` class and its number of grid points.  A class has
+    c = cos(den k1) + cos(den k2) at each of its grid points; its
+    representative takes k1 = 0 when c >= 0 and pi/den otherwise, and
+    k2 = arccos(c - cos(den k1))/den, so the Bloch matrix there is real
+    symmetric, with corners +-1."""
+    f1, f2, counts = _chambers_classes(den, k_grid)
+    c = np.cos(TWO_PI * f1 / k_grid) + np.cos(TWO_PI * f2 / k_grid)
+    lower = c < 0
+    return (np.where(lower, math.pi / den, 0.0),
+            np.arccos(c + np.where(lower, 1.0, -1.0)) / den, counts)
 
 
 def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
@@ -593,18 +633,18 @@ class ButterflyDataset:
 
 def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
     """Harper spectra for every reduced flux with denominator up to q_max,
-    one Bloch solve per Chambers class, every flux of a denominator in one
-    stack."""
+    one real Bloch solve per Chambers class, every flux of a denominator in
+    one stack."""
     dens = range(1, q_max + 1)
     _require_held(((q, len(nums), len(nums) * _class_count(q, k_grid))
                    for q, nums in zip(dens, map(_numerators, dens))),
-                  k_grid, "the butterfly sweep")
+                  k_grid, "the butterfly sweep", float)
     held = {}
     for q, nums in zip(dens, map(_numerators, dens)):
-        f1, f2, counts = _chambers_classes(q, k_grid)
-        n_c, scale = counts.size, TWO_PI / (q * k_grid)
+        k1, k2, counts = _class_momenta(q, k_grid)
+        n_c = counts.size
         eigs = _solve_points(nums, q, len(nums) * n_c,
-                             lambda i: (i // n_c, scale * f1[i % n_c], scale * f2[i % n_c]))
+                             lambda i: (i // n_c, k1[i % n_c], k2[i % n_c]), float)
         for j, num in enumerate(nums):
             samples = np.repeat(eigs[j * n_c:(j + 1) * n_c], counts, axis=0).ravel()
             samples.sort()

@@ -1155,11 +1155,11 @@ class TestJsonReader:
         assert peak < copies * samples.nbytes + 32 * spectral._READ_BYTES, peak
 
 
-def chunk_bytes(k, q, lanes):
+def chunk_bytes(k, q, lanes, itemsize=16):
     """The _STACK_CHUNK_BYTES that give each of `lanes` lanes a chunk of k
-    Bloch matrices at denominator q, each 16 q^2 bytes of entries plus its
-    row temporaries."""
-    return k * lanes * (16 * q * q + 64 * q + 64)
+    Bloch matrices at denominator q, each itemsize q^2 bytes of entries (16
+    complex, 8 real) plus its row temporaries."""
+    return k * lanes * (itemsize * q * q + 64 * q + 64)
 
 
 def held_rule(dens, k_grid, sweep=False):
@@ -1167,12 +1167,13 @@ def held_rule(dens, k_grid, sweep=False):
     term: every flux's samples, bands and objects, plus the largest one-solve
     transient and the slack.  A spectrum solves one flux on its reduced grid
     of n_k points, and at gcd(q, k_grid) = 1 those eigenvalues are its
-    samples; a sweep solves every reduced nu/q at q in one stack, one matrix
-    a Chambers class.  A solve's transient is its eigenvalues when they are
-    not the samples and, for each lane that has a chunk to solve, one chunk
-    plus one more matrix."""
+    samples; a sweep solves every reduced nu/q at q in one stack, one real
+    matrix a Chambers class.  A solve's transient is its eigenvalues when
+    they are not the samples and, for each lane that has a chunk to solve,
+    one chunk plus one more matrix."""
     held = transient = 0
     figures = []
+    itemsize = 8 if sweep else 16
     for q in dens:
         fluxes = sum(math.gcd(nu, q) == 1 for nu in range(q)) if sweep else 1
         if sweep:
@@ -1180,10 +1181,12 @@ def held_rule(dens, k_grid, sweep=False):
         else:
             rows = (k_grid // math.gcd(q, k_grid)) * k_grid
             eigs = 0 if math.gcd(q, k_grid) == 1 else rows
-        step = max(1, spectral._STACK_CHUNK_BYTES // chunk_bytes(1, q, spectral._LANES))
+        step = max(1, spectral._STACK_CHUNK_BYTES
+                   // chunk_bytes(1, q, spectral._LANES, itemsize))
         lanes = min(spectral._LANES, math.ceil(rows / step))
         held += fluxes * (8 * q * k_grid * k_grid + 128 * q + 512)
-        transient = max(transient, 8 * q * eigs + chunk_bytes(min(rows, step) + 1, q, lanes))
+        transient = max(transient,
+                        8 * q * eigs + chunk_bytes(min(rows, step) + 1, q, lanes, itemsize))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
@@ -1393,14 +1396,19 @@ class TestChunkedSolve:
         assert shapes == [(10, 1, 1), (3, 2, 2), (6, 3, 3)]
 
 
+def real_stack(nu, q, k1, k2):
+    """The real Bloch stack at momenta (k1[i], k2[i]), built in a fresh
+    buffer."""
+    return spectral._bloch_builder([nu], q)(np.zeros(len(k1), int), k1, k2,
+                                            np.empty((len(k1), q, q)))
+
+
 def solve_classes(nu, q, k_grid):
-    """Reference: the class solve of one flux, as the sweep first solved it,
-    one stack per flux; the eigenvalues of one Bloch matrix per Chambers
-    class, at (k1, k2) = 2*pi*(f1, f2)/(q*k_grid), and each class's number
-    of grid points."""
-    f1, f2, counts = spectral._chambers_classes(q, k_grid)
-    scale = TWO_PI / (q * k_grid)
-    return np.linalg.eigvalsh(bloch_stack(nu, q, scale * f1, scale * f2)), counts
+    """Reference: the class solve of one flux, one stack per flux; the
+    eigenvalues of one real Bloch matrix per Chambers class, at its real
+    representative, and each class's number of grid points."""
+    k1, k2, counts = spectral._class_momenta(q, k_grid)
+    return np.linalg.eigvalsh(real_stack(nu, q, k1, k2)), counts
 
 
 def class_deviation(nu, q, k_grid):
@@ -1418,9 +1426,33 @@ class TestChambersClasses:
         for nu, q in reduced_fractions(30):
             assert class_deviation(nu, q, k_grid) < 1e-12, (nu, q, k_grid)
 
+    def test_each_representative_has_its_class_sum(self):
+        # c = cos(q k1) + cos(q k2) at the real representative is the sum of
+        # cosines of the class's folded residues, exactly at c = +-2
+        for k_grid in range(4, 41):
+            for q in range(1, 51):
+                f1, f2, _counts = spectral._chambers_classes(q, k_grid)
+                k1, k2, _counts = spectral._class_momenta(q, k_grid)
+                c = np.cos(TWO_PI * f1 / k_grid) + np.cos(TWO_PI * f2 / k_grid)
+                got = np.cos(q * k1) + np.cos(q * k2)
+                assert np.max(np.abs(got - c)) <= 1e-15, (q, k_grid)
+                edges = np.abs(c) == 2
+                assert edges[0] and np.array_equal(got[edges], c[edges]), (q, k_grid)
+
+    @pytest.mark.parametrize("k_grid", [4, 7, 12, 24, 40])
+    def test_the_real_stack_is_the_complex_stack_at_the_representative(self, k_grid):
+        # the real solve drops an imaginary part of at most 1e-15 and keeps
+        # every bit of the real part, a symmetric matrix
+        for nu, q in reduced_fractions(30):
+            k1, k2, _counts = spectral._class_momenta(q, k_grid)
+            mats, real = bloch_stack(nu, q, k1, k2), real_stack(nu, q, k1, k2)
+            assert np.max(np.abs(mats.imag)) <= 1e-15, (nu, q)
+            assert real.dtype == np.float64 and mats.real.tobytes() == real.tobytes(), (nu, q)
+            assert np.array_equal(real, real.transpose(0, 2, 1)), (nu, q)
+
     def test_a_key_without_the_second_residue_fails(self, monkeypatch):
-        # negative control: one class per first folded residue, solved at
-        # k2 = 0, keeps the counts but not the samples
+        # negative control: one class per first folded residue, its second
+        # residue taken as 0, keeps the counts but not the samples
         classes = spectral._chambers_classes
 
         def first_residue_only(den, k_grid):
@@ -1443,11 +1475,12 @@ class TestChambersClasses:
     def test_butterfly_is_the_per_flux_class_solve_bit_for_bit(self, monkeypatch, lanes,
                                                                per_chunk):
         # each denominator is one stack, split back into its fluxes; with 5
-        # matrices a lane's chunk at q = 9 every larger stack spans several
-        # chunks, which cut across fluxes and run in every lane
+        # real matrices a lane's chunk at q = 9 every larger stack spans
+        # several chunks, which cut across fluxes and run in every lane
         monkeypatch.setattr(spectral, "_LANES", lanes)
         if per_chunk:
-            monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES", chunk_bytes(per_chunk, 9, lanes))
+            monkeypatch.setattr(spectral, "_STACK_CHUNK_BYTES",
+                                chunk_bytes(per_chunk, 9, lanes, 8))
         shapes = count_eigvalsh(monkeypatch)
         ds = butterfly(9, 12)
         assert (len(shapes) > 9) == bool(per_chunk)
