@@ -13,17 +13,18 @@ the reported samples.
 Its eigenvalues depend on (k1, k2) only through cos(q k1) + cos(q k2)
 (Chambers, Phys. Rev. 140, A135 (1965)).  On the grid k = 2*pi*j/k_grid,
 cos(q k) depends only on the residue q*j mod k_grid folded under
-r <-> k_grid - r, so `butterfly` solves one matrix per unordered pair of
-folded residues and repeats its eigenvalues by the pair's number of grid
-points.  It solves each class at its real representative (_class_momenta),
-where the matrix is real symmetric, as a float64 stack, which LAPACK solves
-about twice as fast as a complex one.  The classes depend on q alone, so
-the sweep solves every reduced nu/q of a denominator as one stack, row by
-row at its own numerator, and splits the eigenvalues back into fluxes.
-The samples agree with the per-point solve to about 5e-14, not bit for
-bit.  `spectrum` keeps the complex per-point solve: its band edges are grid
-extrema, and at even q the two central bands touch within about 1e-15, so
-whether they merge rests on those last bits.
+r <-> k_grid - r, so `butterfly` solves one matrix per Chambers class, a
+value of c = cos(q k1) + cos(q k2) that the folded residues give, and
+repeats its eigenvalues by the class's number of grid points.  It solves
+each class at its real representative (_class_momenta), where the matrix
+is real symmetric, as a float64 stack, which LAPACK solves about twice as
+fast as a complex one.  The classes depend on q alone, so the sweep solves
+every reduced nu/q of a denominator as one stack, row by row at its own
+numerator, and splits the eigenvalues back into fluxes.  The samples agree
+with the per-point solve to about 5e-14, not bit for bit.  `spectrum` keeps
+the complex per-point solve: its band edges are grid extrema, and at even
+q the two central bands touch within about 1e-15, so whether they merge
+rests on those last bits.
 
 A stack is built by a _bloch_builder, which prepares each term of the
 Hamiltonian once per denominator and exponentiates only the entries whose
@@ -38,8 +39,8 @@ buffer of _STACK_CHUNK_BYTES // _LANES, into disjoint rows of one
 eigenvalue array, so lanes change neither the matrices nor the LAPACK
 call.  One rule sizes every request before its first solve: every
 returned flux's samples stay held, plus the largest transient of one
-stack's solve (its eigenvalues, unless they are the samples, and every
-lane's chunk of matrices) and a fixed slack, against
+stack's solve (its class step, its eigenvalues, unless they are the
+samples, and every lane's chunk of matrices) and a fixed slack, against
 reporting.ALLOCATION_BUDGET_BYTES.  A matrix costs the chunk and the rule
 the same _matrix_bytes(q, dtype), its 16 q^2 bytes of complex entries or 8
 q^2 of real ones, and its row temporaries.  The budget bounds memory, not
@@ -125,25 +126,29 @@ def _chunk_length(den: int, dtype: type) -> int:
     return max(1, _STACK_CHUNK_BYTES // _LANES // _matrix_bytes(den, dtype))
 
 
-def _require_held(solves: Iterable[tuple[int, int, int]], k_grid: int, what: str,
+def _require_held(solves: Iterable[tuple[int, int, int, int]], k_grid: int, what: str,
                   dtype: type = complex) -> None:
     """Check k_grid, then refuse at the first q over budget a request whose
-    solves (q, fluxes, rows) each return `fluxes` fluxes at denominator q
-    from one stack of `rows` Bloch matrices of dtype, so a lazy sweep is
-    never listed whole.  Each flux holds its samples, 128 bytes a band and
-    512 of objects; on top come the largest solve transient and
-    _SLACK_BYTES.  A solve's transient is its eigenvalues, 8 q bytes a row,
-    unless there are as many rows as sample rows (a spectrum at
-    gcd(q, k_grid) = 1), when they are the samples; and each busy lane's
-    chunk plus one more matrix, at _matrix_bytes each."""
+    solves (q, fluxes, rows, classes) each return `fluxes` fluxes at
+    denominator q from one stack of `rows` Bloch matrices of dtype, solved
+    at `classes` Chambers classes (0 for a per-point solve), so a lazy sweep
+    is never listed whole.  Each flux holds its samples, 128 bytes a band
+    and 512 of objects; on top come the largest solve transient and
+    _SLACK_BYTES.  A solve's transient is 136 bytes a class, for the
+    106-109 a `_class_count` pair that tracemalloc puts `_class_momenta`'s
+    peak at (k_grid 40 to 3000) and the 24 its arrays hold through the
+    solve; its eigenvalues, 8 q bytes a row, unless there are as many rows
+    as sample rows (a spectrum at gcd(q, k_grid) = 1), when they are the
+    samples; and each busy lane's chunk plus one more matrix, at
+    _matrix_bytes each."""
     if k_grid < 4:
         raise ValueError("k_grid must be at least 4")
     held = transient = 0
-    for q, fluxes, rows in solves:
+    for q, fluxes, rows, classes in solves:
         step = _chunk_length(q, dtype)
         held += fluxes * (8 * q * k_grid * k_grid + 128 * (q + 4))
         eigs = 0 if rows == fluxes * k_grid * k_grid else 8 * q * rows
-        transient = max(transient, eigs + min(_LANES, -(-rows // step))
+        transient = max(transient, 136 * classes + eigs + min(_LANES, -(-rows // step))
                         * (min(rows, step) + 1) * _matrix_bytes(q, dtype))
         require_allocation(held + transient + _SLACK_BYTES,
                            f"{what} through q={q}, k_grid={k_grid}")
@@ -297,36 +302,29 @@ def _grid_points(den: int, k_grid: int) -> int:
     return (k_grid // math.gcd(den, k_grid)) * k_grid
 
 
-def _chambers_classes(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The folded residues f1 <= f2 of every Chambers class of the k_grid x
-    k_grid grid at denominator den, and its number of grid points: j has
-    residue den*j mod k_grid, folded under r <-> k_grid - r, and a class is
-    an unordered pair of folded residues."""
-    r = den * np.arange(k_grid) % k_grid
-    per_residue = np.bincount(np.minimum(r, k_grid - r))
-    folded = np.flatnonzero(per_residue)
-    a, b = np.triu_indices(folded.size)
-    counts = per_residue[folded[a]] * per_residue[folded[b]] * np.where(a == b, 1, 2)
-    return folded[a], folded[b], counts
-
-
 def _class_count(den: int, k_grid: int) -> int:
-    """The number of `_chambers_classes(den, k_grid)`: the residues are the
-    k_grid / g multiples of g = gcd(den, k_grid), which fold to
+    """The number of unordered pairs of folded residues at denominator den,
+    which bounds the classes of `_class_momenta(den, k_grid)`: the residues
+    are the k_grid / g multiples of g = gcd(den, k_grid), which fold to
     f = k_grid // g // 2 + 1 values, and f (f + 1) / 2 unordered pairs."""
     f = k_grid // math.gcd(den, k_grid) // 2 + 1
     return f * (f + 1) // 2
 
 
 def _class_momenta(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The real representative (k1, k2) of every `_chambers_classes(den,
-    k_grid)` class and its number of grid points.  A class has
-    c = cos(den k1) + cos(den k2) at each of its grid points; its
+    """The Chambers classes of the k_grid x k_grid grid at denominator den,
+    in ascending c: the real representative (k1, k2) of each and its number
+    of grid points.  Grid point (j1, j2) has c = cos(den k1) + cos(den k2),
+    the sum of the cosines of its residues den*j mod k_grid, each folded
+    under r <-> k_grid - r, and a class is one value of c.  Its
     representative takes k1 = 0 when c >= 0 and pi/den otherwise, and
     k2 = arccos(c - cos(den k1))/den, so the Bloch matrix there is real
     symmetric, with corners +-1."""
-    f1, f2, counts = _chambers_classes(den, k_grid)
-    c = np.cos(TWO_PI * f1 / k_grid) + np.cos(TWO_PI * f2 / k_grid)
+    r = den * np.arange(k_grid) % k_grid
+    folded, weight = np.unique(np.minimum(r, k_grid - r), return_counts=True)
+    cos = np.cos(TWO_PI * folded / k_grid)
+    c, key = np.unique(np.add.outer(cos, cos).ravel(), return_inverse=True)
+    counts = np.bincount(key, np.outer(weight, weight).ravel()).astype(int)
     lower = c < 0
     return (np.where(lower, math.pi / den, 0.0),
             np.arccos(c + np.where(lower, 1.0, -1.0)) / den, counts)
@@ -339,7 +337,7 @@ def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
                          "for an irrational one")
     num, den = flux.numerator, flux.denominator
     n = _grid_points(den, k_grid)
-    _require_held([(den, 1, n)], k_grid, "the spectrum")
+    _require_held([(den, 1, n, 0)], k_grid, "the spectrum")
     # one k1 representative per residue class, each solved once
     ks = TWO_PI * np.arange(k_grid) / k_grid
     eigs = _solve_points([num], den, n, lambda i: (0 * i, ks[i // k_grid], ks[i % k_grid]))
@@ -636,7 +634,8 @@ def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
     one real Bloch solve per Chambers class, every flux of a denominator in
     one stack."""
     dens = range(1, q_max + 1)
-    _require_held(((q, len(nums), len(nums) * _class_count(q, k_grid))
+    _require_held(((q, len(nums), len(nums) * _class_count(q, k_grid),
+                    _class_count(q, k_grid))
                    for q, nums in zip(dens, map(_numerators, dens))),
                   k_grid, "the butterfly sweep", float)
     held = {}
@@ -688,7 +687,8 @@ def approximant_spectra(flux: Flux, depth: int, k_grid: int) -> ApproximantSeque
     irrational flux on k_grid, with the Hausdorff distance of each
     consecutive pair."""
     convergents = flux.convergents(depth)
-    _require_held([(c.denominator, 1, _grid_points(c.denominator, k_grid)) for c in convergents],
+    _require_held([(c.denominator, 1, _grid_points(c.denominator, k_grid), 0)
+                   for c in convergents],
                   k_grid, "the approximant sequence")
     spectra = [spectrum(Flux.rational(c.numerator, c.denominator), k_grid)
                for c in convergents]

@@ -1162,22 +1162,31 @@ def chunk_bytes(k, q, lanes, itemsize=16):
     return k * lanes * (itemsize * q * q + 64 * q + 64)
 
 
+def residue_pairs(q, k_grid):
+    """The number of unordered pairs of the residues q*j mod k_grid, each
+    folded under r <-> k_grid - r."""
+    folded = len({min(q * j % k_grid, -q * j % k_grid) for j in range(k_grid)})
+    return folded * (folded + 1) // 2
+
+
 def held_rule(dens, k_grid, sweep=False):
     """The figure the held-memory rule gives after each q in dens, term by
     term: every flux's samples, bands and objects, plus the largest one-solve
     transient and the slack.  A spectrum solves one flux on its reduced grid
     of n_k points, and at gcd(q, k_grid) = 1 those eigenvalues are its
     samples; a sweep solves every reduced nu/q at q in one stack, one real
-    matrix a Chambers class.  A solve's transient is its eigenvalues when
-    they are not the samples and, for each lane that has a chunk to solve,
-    one chunk plus one more matrix."""
+    matrix a Chambers class, sized at one class a pair of folded residues.
+    A solve's transient is its class step, 136 bytes a class, its
+    eigenvalues when they are not the samples and, for each lane that has
+    a chunk to solve, one chunk plus one more matrix."""
     held = transient = 0
     figures = []
     itemsize = 8 if sweep else 16
     for q in dens:
         fluxes = sum(math.gcd(nu, q) == 1 for nu in range(q)) if sweep else 1
+        classes = residue_pairs(q, k_grid) if sweep else 0
         if sweep:
-            rows = eigs = fluxes * spectral._chambers_classes(q, k_grid)[2].size
+            rows = eigs = fluxes * classes
         else:
             rows = (k_grid // math.gcd(q, k_grid)) * k_grid
             eigs = 0 if math.gcd(q, k_grid) == 1 else rows
@@ -1185,8 +1194,8 @@ def held_rule(dens, k_grid, sweep=False):
                    // chunk_bytes(1, q, spectral._LANES, itemsize))
         lanes = min(spectral._LANES, math.ceil(rows / step))
         held += fluxes * (8 * q * k_grid * k_grid + 128 * q + 512)
-        transient = max(transient,
-                        8 * q * eigs + chunk_bytes(min(rows, step) + 1, q, lanes, itemsize))
+        transient = max(transient, 136 * classes + 8 * q * eigs
+                        + chunk_bytes(min(rows, step) + 1, q, lanes, itemsize))
         figures.append(held + transient + spectral._SLACK_BYTES)
     return figures
 
@@ -1295,11 +1304,12 @@ def traced_request(monkeypatch, request):
     lambda: butterfly(12, 24),
     lambda: butterfly(30, 10),
     lambda: butterfly(20, 40),
+    lambda: butterfly(1, 2000),
 ], ids=["spectrum 0/1 k1000", "spectrum 1/2 k200", "spectrum 3/7 k64",
         "spectrum 70/169 k12", "spectrum 21/34 k68", "spectrum 1/8 k800",
         "approximants golden 8 k40",
         "approximants sqrt2 6 k12", "approximants golden 5 k400", "butterfly 12 k24",
-        "butterfly 30 k10", "butterfly 20 k40"])
+        "butterfly 30 k10", "butterfly 20 k40", "butterfly 1 k2000"])
 def test_sized_figure_bounds_what_the_request_holds(monkeypatch, request_):
     """The figure a request is sized at is at least the tracemalloc peak of
     running it, and at most three times that peak, in one lane and in two.
@@ -1411,6 +1421,15 @@ def solve_classes(nu, q, k_grid):
     return np.linalg.eigvalsh(real_stack(nu, q, k1, k2)), counts
 
 
+def grid_classes(q, k_grid):
+    """Reference: the distinct c = cos(q k1) + cos(q k2) of the k_grid x
+    k_grid grid's points, ascending, and the number of points at each,
+    with each cosine taken at the folded residue of q*j mod k_grid."""
+    r = q * np.arange(k_grid) % k_grid
+    cos = np.cos(TWO_PI * np.minimum(r, k_grid - r) / k_grid)
+    return np.unique(cos[:, None] + cos[None, :], return_counts=True)
+
+
 def class_deviation(nu, q, k_grid):
     """Largest distance between the class solve's samples, each class's
     eigenvalues repeated by its count, and the per-point reference."""
@@ -1426,18 +1445,27 @@ class TestChambersClasses:
         for nu, q in reduced_fractions(30):
             assert class_deviation(nu, q, k_grid) < 1e-12, (nu, q, k_grid)
 
+    def test_each_class_is_one_value_of_c(self):
+        # the classes are the distinct c of the grid's points, in ascending
+        # c, so no two share a c and their counts cover the grid
+        for k_grid in range(4, 41):
+            for q in range(1, 50):
+                _c, points = grid_classes(q, k_grid)
+                _k1, _k2, counts = spectral._class_momenta(q, k_grid)
+                assert np.array_equal(counts, points), (q, k_grid)
+                assert counts.sum() == k_grid ** 2, (q, k_grid)
+
     def test_each_representative_has_its_class_sum(self):
-        # c = cos(q k1) + cos(q k2) at the real representative is the sum of
-        # cosines of the class's folded residues, exactly at c = +-2
+        # c = cos(q k1) + cos(q k2) at the real representative is its
+        # class's c, exactly at c = +-2
         for k_grid in range(4, 41):
             for q in range(1, 51):
-                f1, f2, _counts = spectral._chambers_classes(q, k_grid)
+                c, _points = grid_classes(q, k_grid)
                 k1, k2, _counts = spectral._class_momenta(q, k_grid)
-                c = np.cos(TWO_PI * f1 / k_grid) + np.cos(TWO_PI * f2 / k_grid)
                 got = np.cos(q * k1) + np.cos(q * k2)
                 assert np.max(np.abs(got - c)) <= 1e-15, (q, k_grid)
                 edges = np.abs(c) == 2
-                assert edges[0] and np.array_equal(got[edges], c[edges]), (q, k_grid)
+                assert edges[-1] and np.array_equal(got[edges], c[edges]), (q, k_grid)
 
     @pytest.mark.parametrize("k_grid", [4, 7, 12, 24, 40])
     def test_the_real_stack_is_the_complex_stack_at_the_representative(self, k_grid):
@@ -1450,16 +1478,17 @@ class TestChambersClasses:
             assert real.dtype == np.float64 and mats.real.tobytes() == real.tobytes(), (nu, q)
             assert np.array_equal(real, real.transpose(0, 2, 1)), (nu, q)
 
-    def test_a_key_without_the_second_residue_fails(self, monkeypatch):
-        # negative control: one class per first folded residue, its second
-        # residue taken as 0, keeps the counts but not the samples
-        classes = spectral._chambers_classes
+    def test_merging_classes_of_different_c_fails(self, monkeypatch):
+        # negative control: each pair of neighbouring classes, which differ
+        # in c, solved at the first one's representative keeps the counts
+        # but not the samples
+        classes = spectral._class_momenta
 
-        def first_residue_only(den, k_grid):
-            f1, _f2, counts = classes(den, k_grid)
-            firsts, key = np.unique(f1, return_inverse=True)
-            return firsts, np.zeros_like(firsts), np.bincount(key, weights=counts).astype(int)
-        monkeypatch.setattr(spectral, "_chambers_classes", first_residue_only)
+        def pairs_merged(den, k_grid):
+            k1, k2, counts = classes(den, k_grid)
+            firsts = np.arange(0, counts.size, 2)
+            return k1[firsts], k2[firsts], np.add.reduceat(counts, firsts)
+        monkeypatch.setattr(spectral, "_class_momenta", pairs_merged)
         assert class_deviation(1, 3, 8) > 1e-3
 
     def test_butterfly_samples_are_the_per_point_samples(self):
@@ -1492,12 +1521,14 @@ class TestChambersClasses:
             expected.sort()
             assert np.array_equal(samples.view(np.int64), expected.view(np.int64)), (nu, q)
 
-    def test_class_count_is_the_number_of_classes(self):
-        # the sweep is sized by this count, without building the classes
+    def test_class_count_is_the_number_of_residue_pairs(self):
+        # the sweep is sized by this count, without building the classes,
+        # so it must bound them
         for k_grid in range(4, 41):
             for q in range(1, 50):
-                assert spectral._class_count(q, k_grid) == (
-                    spectral._chambers_classes(q, k_grid)[2].size), (q, k_grid)
+                count = spectral._class_count(q, k_grid)
+                assert count == residue_pairs(q, k_grid), (q, k_grid)
+                assert count >= spectral._class_momenta(q, k_grid)[2].size, (q, k_grid)
 
     def test_butterfly_sizes_its_sweep_once(self, monkeypatch):
         walks = []
