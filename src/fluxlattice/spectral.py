@@ -13,18 +13,18 @@ the reported samples.
 Its eigenvalues depend on (k1, k2) only through cos(q k1) + cos(q k2)
 (Chambers, Phys. Rev. 140, A135 (1965)).  On the grid k = 2*pi*j/k_grid,
 cos(q k) depends only on the residue q*j mod k_grid folded under
-r <-> k_grid - r, so `butterfly` solves one matrix per Chambers class, a
-value of c = cos(q k1) + cos(q k2) that the folded residues give, and
-repeats its eigenvalues by the class's number of grid points.  It solves
-each class at its real representative (_class_momenta), where the matrix
-is real symmetric, as a float64 stack, which LAPACK solves about twice as
-fast as a complex one.  The classes depend on q alone, so the sweep solves
-every reduced nu/q of a denominator as one stack, row by row at its own
-numerator, and splits the eigenvalues back into fluxes.  The samples agree
-with the per-point solve to about 5e-14, not bit for bit.  `spectrum` keeps
-the complex per-point solve: its band edges are grid extrema, and at even
-q the two central bands touch within about 1e-15, so whether they merge
-rests on those last bits.
+r <-> k_grid - r, so `butterfly` solves one matrix per Chambers class and
+repeats its eigenvalues by the class's number of grid points.  A class is
+one real representative (k1, k2) of the c = cos(q k1) + cos(q k2) that the
+folded residues give, shared by values of c that round to it
+(_class_momenta); the matrix there is real symmetric, solved in a float64
+stack, which LAPACK solves about twice as fast as a complex one.  The
+classes depend on q alone, so the sweep solves every reduced nu/q of a
+denominator as one stack, row by row at its own numerator, and splits the
+eigenvalues back into fluxes.  The samples agree with the per-point solve
+to about 5e-14, not bit for bit.  `spectrum` keeps the complex per-point
+solve: its band edges are grid extrema, and at even q the two central bands
+touch within about 1e-15, so whether they merge rests on those last bits.
 
 A stack is built by a _bloch_builder, which prepares each term of the
 Hamiltonian once per denominator and exponentiates only the entries whose
@@ -313,21 +313,23 @@ def _class_count(den: int, k_grid: int) -> int:
 
 def _class_momenta(den: int, k_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Chambers classes of the k_grid x k_grid grid at denominator den,
-    in ascending c: the real representative (k1, k2) of each and its number
-    of grid points.  Grid point (j1, j2) has c = cos(den k1) + cos(den k2),
-    the sum of the cosines of its residues den*j mod k_grid, each folded
-    under r <-> k_grid - r, and a class is one value of c.  Its
-    representative takes k1 = 0 when c >= 0 and pi/den otherwise, and
-    k2 = arccos(c - cos(den k1))/den, so the Bloch matrix there is real
-    symmetric, with corners +-1."""
+    in ascending (k2, k1): the real representative (k1, k2) of each and its
+    number of grid points.  Grid point (j1, j2) has c = cos(den k1) +
+    cos(den k2), the sum of the cosines of its residues den*j mod k_grid,
+    each folded under r <-> k_grid - r.  A class is one representative, bit
+    for bit, of one or more values of c: k1 = 0 when c >= 0 and pi/den
+    otherwise, and k2 = arccos(c - cos(den k1))/den, where the Bloch matrix
+    is real symmetric, with corners +-1."""
     r = den * np.arange(k_grid) % k_grid
     folded, weight = np.unique(np.minimum(r, k_grid - r), return_counts=True)
     cos = np.cos(TWO_PI * folded / k_grid)
     c, key = np.unique(np.add.outer(cos, cos).ravel(), return_inverse=True)
-    counts = np.bincount(key, np.outer(weight, weight).ravel()).astype(int)
+    counts = np.bincount(key, np.outer(weight, weight).ravel())
+    del key
     lower = c < 0
-    return (np.where(lower, math.pi / den, 0.0),
-            np.arccos(c + np.where(lower, 1.0, -1.0)) / den, counts)
+    point, key = np.unique(np.arccos(c + np.where(lower, 1.0, -1.0)) / den
+                           + 1j * np.where(lower, math.pi / den, 0.0), return_inverse=True)
+    return point.imag, point.real, np.bincount(key, counts).astype(int)
 
 
 def spectrum(flux: Flux, k_grid: int) -> SpectrumEstimate:
@@ -638,7 +640,9 @@ def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
                     _class_count(q, k_grid))
                    for q, nums in zip(dens, map(_numerators, dens))),
                   k_grid, "the butterfly sweep", float)
-    held = {}
+    if q_max < 1:
+        raise ValueError("q_max must be at least 1")
+    entries = []
     for q, nums in zip(dens, map(_numerators, dens)):
         k1, k2, counts = _class_momenta(q, k_grid)
         n_c = counts.size
@@ -647,10 +651,9 @@ def butterfly(q_max: int, k_grid: int) -> ButterflyDataset:
         for j, num in enumerate(nums):
             samples = np.repeat(eigs[j * n_c:(j + 1) * n_c], counts, axis=0).ravel()
             samples.sort()
-            held[num, q] = samples
-    return ButterflyDataset(q_max, k_grid, [
-        (phi.numerator, phi.denominator, held.pop((phi.numerator, phi.denominator)))
-        for phi in flux_values(q_max)])
+            entries.append((num, q, samples))
+    entries.sort(key=lambda entry: Fraction(entry[0], entry[1]))
+    return ButterflyDataset(q_max, k_grid, entries)
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

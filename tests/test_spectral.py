@@ -1,5 +1,6 @@
 """Bloch matrices, Harper spectra, butterfly datasets and approximants."""
 
+import collections
 import hashlib
 import json
 import math
@@ -1240,7 +1241,7 @@ class TestAllocationBudget:
 
     def test_huge_sweep_refused_before_listing_fluxes(self, monkeypatch):
         listed = []
-        monkeypatch.setattr(spectral, "flux_values", lambda q_max: listed.append(q_max))
+        monkeypatch.setattr(spectral, "_class_momenta", lambda *args: listed.append(args))
         with pytest.raises(ValueError, match=r"through q=116, k_grid=20 "):
             butterfly(10**9, 20)
         assert listed == []
@@ -1421,13 +1422,23 @@ def solve_classes(nu, q, k_grid):
     return np.linalg.eigvalsh(real_stack(nu, q, k1, k2)), counts
 
 
-def grid_classes(q, k_grid):
-    """Reference: the distinct c = cos(q k1) + cos(q k2) of the k_grid x
-    k_grid grid's points, ascending, and the number of points at each,
-    with each cosine taken at the folded residue of q*j mod k_grid."""
+def grid_representatives(q, k_grid):
+    """Reference, one entry a point of the k_grid x k_grid grid: its c =
+    cos(q k1) + cos(q k2), with each cosine taken at the folded residue of
+    q*j mod k_grid, and that c's real representative (k1, k2), k1 = 0 when
+    c >= 0 and pi/q otherwise, k2 = arccos(c - cos(q k1))/q, with cos(q k1)
+    taken as exactly +-1."""
     r = q * np.arange(k_grid) % k_grid
     cos = np.cos(TWO_PI * np.minimum(r, k_grid - r) / k_grid)
-    return np.unique(cos[:, None] + cos[None, :], return_counts=True)
+    c = (cos[:, None] + cos[None, :]).ravel()
+    lower = c < 0
+    return c, np.where(lower, math.pi / q, 0.0), np.arccos(c - np.where(lower, -1.0, 1.0)) / q
+
+
+def class_table(q, k_grid):
+    """`_class_momenta`'s classes as {(k1, k2): number of grid points}."""
+    k1, k2, counts = spectral._class_momenta(q, k_grid)
+    return dict(zip(zip(k1.tolist(), k2.tolist()), counts.tolist()))
 
 
 def class_deviation(nu, q, k_grid):
@@ -1445,27 +1456,42 @@ class TestChambersClasses:
         for nu, q in reduced_fractions(30):
             assert class_deviation(nu, q, k_grid) < 1e-12, (nu, q, k_grid)
 
-    def test_each_class_is_one_value_of_c(self):
-        # the classes are the distinct c of the grid's points, in ascending
-        # c, so no two share a c and their counts cover the grid
+    def test_each_class_is_one_representative(self):
+        # the classes are the distinct representatives of the grid's points,
+        # each with as many points as give it, so their counts cover the grid
         for k_grid in range(4, 41):
             for q in range(1, 50):
-                _c, points = grid_classes(q, k_grid)
-                _k1, _k2, counts = spectral._class_momenta(q, k_grid)
-                assert np.array_equal(counts, points), (q, k_grid)
-                assert counts.sum() == k_grid ** 2, (q, k_grid)
+                _c, k1, k2 = grid_representatives(q, k_grid)
+                table = class_table(q, k_grid)
+                assert table == collections.Counter(zip(k1.tolist(), k2.tolist())), (q, k_grid)
+                assert sum(table.values()) == k_grid ** 2, (q, k_grid)
 
-    def test_each_representative_has_its_class_sum(self):
-        # c = cos(q k1) + cos(q k2) at the real representative is its
-        # class's c, exactly at c = +-2
+    def test_each_point_has_its_class_sum(self):
+        # each point's representative is its class's, and c = cos(q k1) +
+        # cos(q k2) there is the point's c, exactly at c = +-2
         for k_grid in range(4, 41):
             for q in range(1, 51):
-                c, _points = grid_classes(q, k_grid)
-                k1, k2, _counts = spectral._class_momenta(q, k_grid)
+                c, k1, k2 = grid_representatives(q, k_grid)
+                table = class_table(q, k_grid)
+                assert all(point in table for point in zip(k1.tolist(), k2.tolist())), (q, k_grid)
                 got = np.cos(q * k1) + np.cos(q * k2)
                 assert np.max(np.abs(got - c)) <= 1e-15, (q, k_grid)
                 edges = np.abs(c) == 2
-                assert edges[-1] and np.array_equal(got[edges], c[edges]), (q, k_grid)
+                assert edges.any() and np.array_equal(got[edges], c[edges]), (q, k_grid)
+
+    def test_no_two_classes_share_a_representative(self):
+        # values of c that differ in their last bits can round to one
+        # representative, first at q = 1, k_grid = 8; one matrix, one class
+        for k_grid in range(4, 61):
+            for q in range(1, 50):
+                k1, k2, counts = spectral._class_momenta(q, k_grid)
+                bits = set(zip(k1.view(np.int64).tolist(), k2.view(np.int64).tolist()))
+                assert len(bits) == counts.size, (q, k_grid)
+
+    def test_butterfly_solves_one_matrix_per_representative(self, monkeypatch):
+        shapes = count_eigvalsh(monkeypatch)
+        butterfly(12, 24)
+        assert sum(shape[0] for shape in shapes) == 2016
 
     @pytest.mark.parametrize("k_grid", [4, 7, 12, 24, 40])
     def test_the_real_stack_is_the_complex_stack_at_the_representative(self, k_grid):
@@ -1480,8 +1506,8 @@ class TestChambersClasses:
 
     def test_merging_classes_of_different_c_fails(self, monkeypatch):
         # negative control: each pair of neighbouring classes, which differ
-        # in c, solved at the first one's representative keeps the counts
-        # but not the samples
+        # in representative and so in c, solved at the first one's
+        # representative keeps the counts but not the samples
         classes = spectral._class_momenta
 
         def pairs_merged(den, k_grid):
