@@ -286,6 +286,9 @@ def _selfadjoint_ray(orbit: list[Monomial]) -> AlgebraElement | None:
 # rounded up past double for margin.
 _ORBIT_BYTES = 4096
 
+# (max_j, basis) of the last finished derivation; see derive_invariant_basis.
+_last_basis: tuple[int, tuple[AlgebraElement, ...]] | None = None
+
 
 def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     """Derive the selfadjoint symmetry-invariant family with hopping range
@@ -305,6 +308,15 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     A max_j whose orbits would hold more than the allocation budget is
     refused before the scan.
 
+    At irrational flux the basis is a function of max_j alone: theta stays
+    a symbol in every exact phase, and the flux only decides whether the
+    analysis applies.  So the flux and max_j are checked on every call, in
+    the order above, and only then is the last derived basis reused when
+    max_j matches; each call returns a new list.  One basis is kept, at most
+    the one the budget admitted: it is dropped before a new scan and the new
+    one stored only once the scan has finished, so an old basis is never
+    held beside a new one and a scan that raises leaves none behind.
+
     The scan visits one hop per orbit: (0, 0) and the max_j*(max_j + 1)
     hops with k1 > 0 and -k1 < k2 <= k1.  The quarter turn maps (k1, k2) to
     (-k2, k1), so the other three hops of the orbit, (-k2, k1), (-k1, -k2)
@@ -319,6 +331,11 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
     orbits = max_j * (max_j + 1) + 1
     require_allocation(orbits * _ORBIT_BYTES,
                        f"the invariant basis through max_j={max_j} ({orbits} orbits)")
+    global _last_basis
+    kept = _last_basis
+    if kept is not None and kept[0] == max_j:
+        return list(kept[1])
+    _last_basis = None
 
     # generated in the order of the basis: by range k1, the axis hop (k1, 0) first
     hops = ((k1, k2) for k1 in range(max_j + 1)
@@ -333,4 +350,5 @@ def derive_invariant_basis(max_j: int, flux: Flux) -> list[AlgebraElement]:
         if candidate is None or not is_invariant(candidate, flux):
             continue
         basis.append(candidate)
+    _last_basis = (max_j, tuple(basis))
     return basis

@@ -6,5 +6,15 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 if not (os.environ.get("PYTHONPATH") and importlib.util.find_spec("fluxlattice")):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_invariant_basis():
+    """Start every test without the basis that algebra keeps from its last
+    derivation, so a test that measures a derivation sees one run."""
+    from fluxlattice import algebra
+    algebra._last_basis = None

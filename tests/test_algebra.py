@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fluxlattice import algebra
+from fluxlattice import algebra, reporting
 from fluxlattice.algebra import (
     AlgebraElement,
     Monomial,
@@ -507,10 +507,22 @@ class TestDerivation:
         text = "\n".join(map(str, derive_invariant_basis(max_j, GOLDEN)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("max_j", [0, 1, 6, 12])
+    def test_basis_does_not_depend_on_the_irrational_flux(self, max_j):
+        # the fact the kept basis rests on: theta stays a symbol, so fresh
+        # derivations at any irrational flux agree element for element
+        bases = []
+        for flux in (GOLDEN, Flux.sqrt2(), Flux.parse("0.3183098862")):
+            algebra._last_basis = None
+            bases.append(derive_invariant_basis(max_j, flux))
+        assert bases[0] == bases[1] == bases[2]
+        assert len({"\n".join(map(str, basis)) for basis in bases}) == 1
+
     def test_a_candidate_that_is_not_invariant_is_dropped(self, monkeypatch):
         # every real candidate passes is_invariant; one that gains a p1 term
         # is not fixed by conjugation with p2 and must be left out
         clean = derive_invariant_basis(2, GOLDEN)
+        algebra._last_basis = None  # derive the tainted basis, not read the clean one
         ray = algebra._selfadjoint_ray
 
         def tainted(orbit):
@@ -528,13 +540,7 @@ class TestDerivation:
     def test_elements_built_per_orbit(self, monkeypatch):
         # one element an orbit, the candidate; the orbit, its adjoint and
         # the three conjugates are read monomial by monomial
-        built = []
-        init = AlgebraElement.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(AlgebraElement, "__init__", counted)
+        built = count_builds(monkeypatch)
         assert len(derive_invariant_basis(6, GOLDEN)) == 43
         assert len(built) == 43
 
@@ -569,6 +575,71 @@ class TestDerivation:
             tracemalloc.stop()
         assert len(basis) == orbits
         assert peak <= orbits * algebra._ORBIT_BYTES
+
+
+def count_builds(monkeypatch) -> list:
+    """A list that gains one entry per AlgebraElement built from now on."""
+    built = []
+    init = AlgebraElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(AlgebraElement, "__init__", counted)
+    return built
+
+
+class TestKeptBasis:
+    """The last derived basis is kept, keyed on max_j alone."""
+
+    def test_a_hit_builds_no_element(self, monkeypatch):
+        basis = derive_invariant_basis(6, GOLDEN)
+        built = count_builds(monkeypatch)
+        assert derive_invariant_basis(6, Flux.sqrt2()) == basis
+        assert built == []
+
+    def test_a_hit_returns_a_new_list(self):
+        first = derive_invariant_basis(3, GOLDEN)
+        kept = list(first)
+        second = derive_invariant_basis(3, GOLDEN)
+        assert second == kept and second is not first
+        first.clear()
+        second.reverse()
+        assert derive_invariant_basis(3, GOLDEN) == kept
+
+    def test_a_hit_still_refuses(self, monkeypatch):
+        derive_invariant_basis(2, GOLDEN)
+        with pytest.raises(RationalFluxError):
+            derive_invariant_basis(2, Flux.rational(1, 3))
+        with pytest.raises(ValueError, match="max_j must be nonnegative"):
+            derive_invariant_basis(-1, GOLDEN)
+        # 7 orbits at 4 KiB each, over a budget of 7 orbits less one byte
+        monkeypatch.setattr(reporting, "ALLOCATION_BUDGET_BYTES", 7 * algebra._ORBIT_BYTES - 1)
+        with pytest.raises(ValueError, match=r"max_j=2 \(7 orbits\).*allocation budget"):
+            derive_invariant_basis(2, GOLDEN)
+
+    def test_a_new_max_j_replaces_the_kept_basis(self, monkeypatch):
+        derive_invariant_basis(2, GOLDEN)
+        derive_invariant_basis(3, GOLDEN)
+        built = count_builds(monkeypatch)
+        assert len(derive_invariant_basis(3, GOLDEN)) == 13 and built == []
+        assert len(derive_invariant_basis(2, GOLDEN)) == 7 and len(built) == 7
+
+    def test_a_scan_that_raises_keeps_no_basis(self, monkeypatch):
+        derive_invariant_basis(2, GOLDEN)
+        ray = algebra._selfadjoint_ray
+
+        def failing(orbit):
+            if orbit[0].exponents == (0, 0, 3, 3):
+                raise RuntimeError("scan interrupted")
+            return ray(orbit)
+        monkeypatch.setattr(algebra, "_selfadjoint_ray", failing)
+        with pytest.raises(RuntimeError, match="scan interrupted"):
+            derive_invariant_basis(3, GOLDEN)
+        assert algebra._last_basis is None
+        monkeypatch.setattr(algebra, "_selfadjoint_ray", ray)
+        built = count_builds(monkeypatch)
+        assert len(derive_invariant_basis(3, GOLDEN)) == 13 and len(built) == 13
 
 
 class TestRendering:
